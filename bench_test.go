@@ -78,7 +78,7 @@ func BenchmarkEngineHashJoin(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, err := engine.EquiJoin(left, right, "k", "k")
+		out, err := engine.From(left).Join(right, "k", "k").Run()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -97,9 +97,7 @@ func BenchmarkEngineGroupBy(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, err := engine.GroupBy(t, []string{"g"}, []engine.Aggregate{
-			{Fn: engine.AggSum, Col: "v", As: "s"},
-		})
+		out, err := engine.From(t).GroupBy([]string{"g"}, engine.Aggregate{Fn: engine.AggSum, Col: "v", As: "s"}).Run()
 		if err != nil || out.Len() != 100 {
 			b.Fatalf("groups = %d err = %v", out.Len(), err)
 		}

@@ -78,8 +78,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	head, err := engine.From(tbl).Limit(5).Run()
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("one realization of SBP_DATA:")
-	fmt.Println(engine.Limit(tbl, 5))
+	fmt.Println(head)
 
 	// 4. Monte Carlo with tuple bundles: the plan executes once, each
 	//    uncertain cell carries its 1000 instantiations.

@@ -1,13 +1,11 @@
 package engine
 
-// Vectorized relational operators over ColumnBlocks. Every operator
-// here has a row-based counterpart in ops.go and must produce a
-// byte-identical table (same rows, same order, same Value payloads)
-// when its output is materialized — golden_test.go enforces this on
-// randomized inputs. Determinism rules match the row path: group-by
-// and distinct emit in first-appearance order, joins emit in probe
-// order with build-side insertion order within a key, and sorts are
-// stable.
+// Vectorized relational operators over ColumnBlocks, the engine's
+// only execution path. Determinism rules: group-by and distinct emit
+// in first-appearance order, joins emit in probe order with build-side
+// insertion order within a key, and sorts are stable. golden_test.go
+// checks every operator against a row-at-a-time reference oracle
+// (oracle_test.go) on randomized inputs, down to Value payload bits.
 
 import (
 	"fmt"
@@ -34,7 +32,6 @@ func (b *ColumnBlock) withSel(sel []int32) *ColumnBlock {
 // logical row index and reads columns through the block.
 func (b *ColumnBlock) whereFunc(pred func(i int) bool) *ColumnBlock {
 	n := b.Len()
-	rowsScanned.Add(int64(n))
 	var sel []int32
 	for i := 0; i < n; i++ {
 		if pred(i) {
@@ -53,7 +50,6 @@ func (b *ColumnBlock) WhereEq(col string, v Value) (*ColumnBlock, error) {
 		return nil, err
 	}
 	n := b.Len()
-	rowsScanned.Add(int64(n))
 	var sel []int32
 	switch {
 	case b.Schema[j].Type == TypeInt && v.typ == TypeInt:
@@ -89,15 +85,13 @@ func (b *ColumnBlock) WhereEq(col string, v Value) (*ColumnBlock, error) {
 }
 
 // WhereFloat keeps rows for which pred holds on the numeric column
-// widened to float64; rows of non-numeric columns never qualify,
-// matching the row path.
+// widened to float64; rows of non-numeric columns never qualify.
 func (b *ColumnBlock) WhereFloat(col string, pred func(float64) bool) (*ColumnBlock, error) {
 	j, err := b.ColIndex(col)
 	if err != nil {
 		return nil, err
 	}
 	n := b.Len()
-	rowsScanned.Add(int64(n))
 	var sel []int32
 	switch b.Schema[j].Type {
 	case TypeFloat:
@@ -125,7 +119,6 @@ func (b *ColumnBlock) WhereString(col string, pred func(string) bool) (*ColumnBl
 		return nil, err
 	}
 	n := b.Len()
-	rowsScanned.Add(int64(n))
 	var sel []int32
 	if b.Schema[j].Type == TypeString {
 		strs := b.cols[j].strs
@@ -383,8 +376,8 @@ func equiJoinIdx(l, r *ColumnBlock, li, ri int, buildLeft bool, sc *Scratch) (li
 
 // EquiJoin computes the hash equi-join of b and r on leftCol =
 // rightCol. The hash table is built on the smaller input (ties build on
-// the right, matching the row path so emission order is identical) from
-// pre-encoded uint64 key codes; no per-row key strings are constructed.
+// the right, which fixes the emission order) from pre-encoded uint64
+// key codes; no per-row key strings are constructed.
 // Output columns are prefixed with the block names.
 func (b *ColumnBlock) EquiJoin(r *ColumnBlock, leftCol, rightCol string, sc *Scratch) (*ColumnBlock, error) {
 	return b.equiJoinBudget(r, leftCol, rightCol, sc, 0, "")
@@ -405,7 +398,7 @@ func (b *ColumnBlock) equiJoinBudget(r *ColumnBlock, leftCol, rightCol string, s
 	if err != nil {
 		return nil, fmt.Errorf("join right: %w", err)
 	}
-	// Build on the smaller side, exactly as the row path chooses it.
+	// Build on the smaller side; ties build right.
 	lidx, ridx := joinPairs(l, r, li, ri, l.Len() < r.Len(), sc, budget, dir)
 
 	out := &ColumnBlock{
@@ -428,8 +421,8 @@ func (b *ColumnBlock) equiJoinBudget(r *ColumnBlock, leftCol, rightCol string, s
 // --- group-by ---
 
 // colAggState is the per-(group, aggregate) accumulator. Min/max track
-// physical row positions so emission can reconstruct the exact first
-// extreme Value (payload bits included) without boxing during the scan.
+// physical row positions so emission gathers the exact first extreme
+// value (payload bits included) without boxing during the scan.
 type colAggState struct {
 	sum        float64
 	minP, maxP int32
@@ -497,14 +490,49 @@ func (b *ColumnBlock) groupIDs(keyIdx []int, sc *Scratch) (gids []int32, firstP 
 	return gids, firstP
 }
 
+// AggFunc identifies an aggregate function.
+type AggFunc uint8
+
+// Aggregate functions.
+const (
+	AggCount AggFunc = iota
+	AggSum
+	AggAvg
+	AggMin
+	AggMax
+)
+
+// String names the aggregate.
+func (a AggFunc) String() string {
+	switch a {
+	case AggCount:
+		return "COUNT"
+	case AggSum:
+		return "SUM"
+	case AggAvg:
+		return "AVG"
+	case AggMin:
+		return "MIN"
+	case AggMax:
+		return "MAX"
+	}
+	return fmt.Sprintf("AggFunc(%d)", uint8(a))
+}
+
+// Aggregate describes one aggregate output: fn applied to column Col
+// (ignored for COUNT), labeled As in the output schema.
+type Aggregate struct {
+	Fn  AggFunc
+	Col string
+	As  string
+}
+
 // GroupBy groups the block by the given key columns and computes the
 // requested aggregates per group in one pass over the column vectors,
-// emitting groups in first-appearance order (the same deterministic
-// order as the row path). With no key columns a single global group is
-// produced, even over empty input. The output is a row table: group-by
-// results are small, and the row form keeps the zero-Value semantics of
-// empty global MIN/MAX groups representable.
-func (b *ColumnBlock) GroupBy(keys []string, aggs []Aggregate, sc *Scratch) (*Table, error) {
+// emitting groups in first-appearance order. With no key columns a
+// single global group is produced, even over empty input; there MIN
+// and MAX yield the zero value of the aggregated column's type.
+func (b *ColumnBlock) GroupBy(keys []string, aggs []Aggregate, sc *Scratch) (*ColumnBlock, error) {
 	return b.groupByBudget(keys, aggs, sc, 0, "")
 }
 
@@ -539,50 +567,47 @@ func (b *ColumnBlock) groupCols(keys []string, aggs []Aggregate) (keyIdx, aggIdx
 // disk under dir and each partition aggregates separately (see
 // spill.go). Keyless group-bys never spill — one global group needs no
 // hash table.
-func (b *ColumnBlock) groupByBudget(keys []string, aggs []Aggregate, sc *Scratch, budget int64, dir string) (*Table, error) {
+func (b *ColumnBlock) groupByBudget(keys []string, aggs []Aggregate, sc *Scratch, budget int64, dir string) (*ColumnBlock, error) {
 	sc = sc.orNew()
 	keyIdx, aggIdx, err := b.groupCols(keys, aggs)
 	if err != nil {
 		return nil, err
 	}
+	schema := groupSchema(b, keys, keyIdx, aggs, aggIdx)
+	if err := schema.Validate(); err != nil {
+		return nil, err
+	}
+	name := b.Name + "_group"
 	if budget > 0 && len(keyIdx) > 0 && estHashBytes(b, keyIdx) > budget {
-		t, err := b.spillGroupBy(keys, aggs, keyIdx, aggIdx, sc, budget, dir)
+		out, err := b.spillGroupBy(name, schema, keyIdx, aggIdx, aggs, sc, budget, dir)
 		if err == nil {
-			return t, nil
+			return out, nil
 		}
 		spillFallbacks.Add(1)
 	}
-
-	n := b.Len()
-	var gids, firstP []int32
-	if len(keyIdx) == 0 {
-		gids = make([]int32, n)
-		if n > 0 {
-			firstP = []int32{int32(b.phys(0))}
-		}
-	} else {
-		gids, firstP = b.groupIDs(keyIdx, sc)
-	}
-	nGroups := len(firstP)
-	synthesized := false
-	if len(keys) == 0 && nGroups == 0 {
-		// SQL semantics: a global aggregate over empty input yields one
-		// group (COUNT(*) = 0, MIN/MAX the zero Value).
-		nGroups = 1
-		synthesized = true
-	}
-
-	rows := b.aggregateGroups(keyIdx, aggIdx, aggs, gids, firstP, nGroups, synthesized)
-	out, err := NewTable(b.Name+"_group", groupSchema(b, keys, keyIdx, aggs, aggIdx))
-	if err != nil {
-		return nil, err
-	}
-	out.Rows = rows
-	return out, nil
+	gids, firstP, nGroups := b.groups(keyIdx, sc)
+	return &ColumnBlock{
+		Name: name, Schema: schema, nrows: nGroups,
+		cols: b.aggregateGroups(keyIdx, aggIdx, aggs, gids, firstP, nGroups),
+	}, nil
 }
 
-// groupSchema builds the group-by output schema: keys then aggregates,
-// identical to the row path.
+// groups assigns every logical row its group id. Keyed group-bys use
+// groupIDs; a keyless one is a single global group, which exists even
+// over empty input (SQL semantics: COUNT(*) = 0).
+func (b *ColumnBlock) groups(keyIdx []int, sc *Scratch) (gids, firstP []int32, nGroups int) {
+	if len(keyIdx) > 0 {
+		gids, firstP = b.groupIDs(keyIdx, sc)
+		return gids, firstP, len(firstP)
+	}
+	n := b.Len()
+	if n > 0 {
+		firstP = []int32{int32(b.phys(0))}
+	}
+	return make([]int32, n), firstP, 1
+}
+
+// groupSchema builds the group-by output schema: keys then aggregates.
 func groupSchema(b *ColumnBlock, keys []string, keyIdx []int, aggs []Aggregate, aggIdx []int) Schema {
 	schema := make(Schema, 0, len(keys)+len(aggs))
 	for i, k := range keys {
@@ -604,12 +629,11 @@ func groupSchema(b *ColumnBlock, keys []string, keyIdx []int, aggs []Aggregate, 
 	return schema
 }
 
-// aggregateGroups runs the accumulation passes and emits one output row
-// per group, in group-id order. gids/firstP come from groupIDs over the
-// same block (so per-group accumulation order is the block's logical
-// row order); synthesized emits the single keyless group over empty
-// input.
-func (b *ColumnBlock) aggregateGroups(keyIdx, aggIdx []int, aggs []Aggregate, gids, firstP []int32, nGroups int, synthesized bool) []Row {
+// aggregateGroups runs the accumulation passes and returns the output
+// columns — keys, then one per aggregate — with one entry per group in
+// group-id order. gids/firstP come from groups over the same block, so
+// per-group accumulation follows the block's logical row order.
+func (b *ColumnBlock) aggregateGroups(keyIdx, aggIdx []int, aggs []Aggregate, gids, firstP []int32, nGroups int) []colvec {
 	n := b.Len()
 
 	// Group sizes, shared by COUNT and AVG across all aggregates.
@@ -618,18 +642,32 @@ func (b *ColumnBlock) aggregateGroups(keyIdx, aggIdx []int, aggs []Aggregate, gi
 		counts[g]++
 	}
 
+	cols := make([]colvec, 0, len(keyIdx)+len(aggs))
+	for _, j := range keyIdx {
+		cols = append(cols, gather(b.cols[j], b.Schema[j].Type, firstP))
+	}
 	// One accumulation pass per aggregate, column-at-a-time. Per-group
 	// sums accumulate in row order, so float results are bit-identical
-	// to the row path's row-at-a-time accumulation.
-	states := make([][]colAggState, len(aggs))
+	// to a row-at-a-time accumulation.
 	for ai, a := range aggs {
 		if a.Fn == AggCount {
+			cols = append(cols, colvec{ints: counts})
+			continue
+		}
+		j := aggIdx[ai]
+		typ := b.Schema[j].Type
+		if n == 0 {
+			// Only the keyless global group exists, and it saw no rows.
+			if a.Fn == AggMin || a.Fn == AggMax {
+				cols = append(cols, zeroColvec(typ, nGroups))
+			} else {
+				cols = append(cols, colvec{floats: make([]float64, nGroups)})
+			}
 			continue
 		}
 		sts := make([]colAggState, nGroups)
-		j := aggIdx[ai]
 		cv := b.cols[j]
-		switch b.Schema[j].Type {
+		switch typ {
 		case TypeInt:
 			for i := 0; i < n; i++ {
 				p, st := int32(b.phys(i)), &sts[gids[i]]
@@ -681,60 +719,29 @@ func (b *ColumnBlock) aggregateGroups(keyIdx, aggIdx []int, aggs []Aggregate, gi
 				st.seen = true
 			}
 		}
-		states[ai] = sts
-	}
-
-	out := make([]Row, 0, nGroups)
-	width := len(keyIdx) + len(aggs)
-	for g := 0; g < nGroups; g++ {
-		row := make(Row, 0, width)
-		if !synthesized {
-			for _, j := range keyIdx {
-				row = append(row, b.valuePhys(int(firstP[g]), j))
-			}
-		}
-		for ai, a := range aggs {
-			switch a.Fn {
-			case AggCount:
-				row = append(row, Int(counts[g]))
-			case AggSum:
-				row = append(row, Float(sumOf(states[ai], g)))
-			case AggAvg:
-				if counts[g] == 0 {
-					row = append(row, Float(0))
-				} else {
-					row = append(row, Float(sumOf(states[ai], g)/float64(counts[g])))
+		switch a.Fn {
+		case AggSum, AggAvg:
+			fs := make([]float64, nGroups)
+			for g := range fs {
+				fs[g] = sts[g].sum
+				if a.Fn == AggAvg {
+					fs[g] /= float64(counts[g])
 				}
-			case AggMin:
-				row = append(row, b.extremeValue(states[ai], g, aggIdx[ai], true))
-			case AggMax:
-				row = append(row, b.extremeValue(states[ai], g, aggIdx[ai], false))
 			}
+			cols = append(cols, colvec{floats: fs})
+		case AggMin, AggMax:
+			pos := make([]int32, nGroups)
+			for g := range pos {
+				if a.Fn == AggMin {
+					pos[g] = sts[g].minP
+				} else {
+					pos[g] = sts[g].maxP
+				}
+			}
+			cols = append(cols, gather(cv, typ, pos))
 		}
-		out = append(out, row)
 	}
-	return out
-}
-
-func sumOf(sts []colAggState, g int) float64 {
-	if sts == nil {
-		return 0
-	}
-	return sts[g].sum
-}
-
-// extremeValue reconstructs a group's MIN or MAX Value from its tracked
-// physical row; an unseen state (empty global group) yields the zero
-// Value, matching the row path's zero aggState.
-func (b *ColumnBlock) extremeValue(sts []colAggState, g, j int, min bool) Value {
-	if sts == nil || !sts[g].seen {
-		return Value{}
-	}
-	p := sts[g].maxP
-	if min {
-		p = sts[g].minP
-	}
-	return b.valuePhys(int(p), j)
+	return cols
 }
 
 // --- distinct / order by ---
@@ -745,7 +752,6 @@ func (b *ColumnBlock) extremeValue(sts []colAggState, g, j int, min bool) Value 
 func (b *ColumnBlock) Distinct(sc *Scratch) *ColumnBlock {
 	sc = sc.orNew()
 	n := b.Len()
-	rowsScanned.Add(int64(n))
 	var sel []int32
 	allIdx := make([]int, len(b.Schema))
 	for j := range allIdx {

@@ -8,22 +8,24 @@ package engine
 // argument MCDB makes one level up — execute the plan once across Monte
 // Carlo repetitions — applied across the tuples of a batch.
 //
-// Blocks convert at the boundary: FromTable decodes a row table into
-// vectors, ToTable materializes vectors back into rows, and Table keeps
-// its public row API so callers migrate incrementally. Conversion is
-// strict — every value's dynamic type must match its column's schema
-// type — and callers fall back to the row operators when it fails, so
-// the two paths always produce byte-identical tables (enforced by the
-// golden-equivalence suite in golden_test.go).
+// Blocks are the engine's only execution state. They convert at the
+// boundary: FromTable decodes a row table into vectors once per query
+// source, and ToTable materializes the result back into rows once, at
+// Run. Decoding applies Table.Insert's type rule — each value carries
+// its column's type, or is an int widened into a float column — and
+// rejects anything else with ErrMixedColumn, which queries return to
+// their caller. The golden suite (golden_test.go) checks every
+// operator against a row-at-a-time reference oracle.
 
 import (
 	"errors"
 	"fmt"
 )
 
-// ErrMixedColumn reports a column whose values' dynamic types do not
-// all match the schema type, which the columnar layout cannot
-// represent (callers fall back to the row path).
+// ErrMixedColumn reports a row whose value does not fit its column:
+// neither the schema type nor an int in a float column (the only
+// widening Table.Insert performs). Tables built through Insert never
+// hold one; hand-built tables can, and queries over them fail with it.
 var ErrMixedColumn = errors.New("engine: column holds values not matching its schema type")
 
 // colvec is the typed storage for one column; exactly one field is
@@ -89,8 +91,9 @@ func (b *ColumnBlock) valuePhys(p, j int) Value {
 // value reconstructs the Value at logical row i, column j.
 func (b *ColumnBlock) value(i, j int) Value { return b.valuePhys(b.phys(i), j) }
 
-// decodeColumn extracts column j of rows into typed storage, strictly:
-// every value must carry exactly the schema type.
+// decodeColumn extracts column j of rows into typed storage under
+// checkRow's rule: every value carries the schema type, except that an
+// int is widened into a float column.
 func decodeColumn(rows []Row, j int, typ Type, colName string) (colvec, error) {
 	var cv colvec
 	switch typ {
@@ -106,8 +109,11 @@ func decodeColumn(rows []Row, j int, typ Type, colName string) (colvec, error) {
 	for i, r := range rows {
 		v := r[j]
 		if v.typ != typ {
-			return colvec{}, fmt.Errorf("%w: column %q row %d is %s, schema says %s",
-				ErrMixedColumn, colName, i, v.typ, typ)
+			if typ != TypeFloat || v.typ != TypeInt {
+				return colvec{}, fmt.Errorf("%w: column %q row %d is %s, schema says %s",
+					ErrMixedColumn, colName, i, v.typ, typ)
+			}
+			v = Float(float64(v.i))
 		}
 		switch typ {
 		case TypeInt:
@@ -124,10 +130,9 @@ func decodeColumn(rows []Row, j int, typ Type, colName string) (colvec, error) {
 }
 
 // FromTable decodes a row table into a ColumnBlock. It fails with
-// ErrMixedColumn when any value's dynamic type differs from its
-// column's schema type (possible for hand-built tables or Extend
-// callbacks returning a mismatched Value); callers then stay on the
-// row path, keeping outputs byte-identical either way.
+// ErrArity on a row of the wrong width and with ErrMixedColumn on a
+// value its column cannot hold (see decodeColumn); only hand-built
+// tables can carry either.
 func FromTable(t *Table) (*ColumnBlock, error) {
 	return FromRowsPartial(t.Name, t.Schema, t.Rows, nil)
 }
@@ -144,6 +149,11 @@ func FromRowsPartial(name string, schema Schema, rows []Row, skip []int) (*Colum
 		Schema: schema.Clone(),
 		nrows:  len(rows),
 		cols:   make([]colvec, len(schema)),
+	}
+	for i, r := range rows {
+		if len(r) != len(schema) {
+			return nil, fmt.Errorf("%w: table %q row %d has %d values, want %d", ErrArity, name, i, len(r), len(schema))
+		}
 	}
 	skipped := make(map[int]bool, len(skip))
 	for _, j := range skip {

@@ -1,13 +1,12 @@
 package engine
 
 // Golden-equivalence suite: every columnar operator must produce a
-// byte-identical table to its row-based counterpart — same schema, same
-// row order, same Value payload bits — on randomized inputs that cover
-// the awkward corners of the key encoding (NaN, -0, int64s beyond
-// float64 precision, strings containing the old separator byte, empty
-// results). Equality is checked down to float bit patterns, not
-// tolerances: the columnar path is an optimization, never a semantic
-// change.
+// byte-identical table to its row-at-a-time reference in
+// oracle_test.go — same schema, same row order, same Value payload
+// bits — on randomized inputs that cover the awkward corners of the
+// key encoding (NaN, -0, int64s beyond float64 precision, strings
+// containing the old separator byte, empty results). Equality is
+// checked down to float bit patterns, not tolerances.
 
 import (
 	"fmt"
@@ -159,7 +158,7 @@ func TestGoldenWhere(t *testing.T) {
 		probe := randomValue(tr, Type(tr.Intn(4)))
 		for _, col := range []string{"id", "x", "tag", "flag"} {
 			j, _ := tbl.ColIndex(col)
-			want := Select(tbl, func(row Row) bool { return row[j].Equal(probe) })
+			want := rowSelect(tbl, func(row Row) bool { return row[j].Equal(probe) })
 			got, err := b.WhereEq(col, probe)
 			if err != nil {
 				t.Fatalf("WhereEq: %v", err)
@@ -171,7 +170,7 @@ func TestGoldenWhere(t *testing.T) {
 		pred := func(f float64) bool { return f < cut }
 		for _, col := range []string{"id", "x"} {
 			j, _ := tbl.ColIndex(col)
-			want := Select(tbl, func(row Row) bool { return row[j].IsNumeric() && pred(row[j].AsFloat()) })
+			want := rowSelect(tbl, func(row Row) bool { return row[j].IsNumeric() && pred(row[j].AsFloat()) })
 			got, err := b.WhereFloat(col, pred)
 			if err != nil {
 				t.Fatalf("WhereFloat: %v", err)
@@ -181,7 +180,7 @@ func TestGoldenWhere(t *testing.T) {
 
 		sPred := func(s string) bool { return len(s) >= 2 }
 		jj, _ := tbl.ColIndex("tag")
-		want := Select(tbl, func(row Row) bool { return row[jj].Type() == TypeString && sPred(row[jj].AsString()) })
+		want := rowSelect(tbl, func(row Row) bool { return row[jj].Type() == TypeString && sPred(row[jj].AsString()) })
 		got, err := b.WhereString("tag", sPred)
 		if err != nil {
 			t.Fatalf("WhereString: %v", err)
@@ -197,7 +196,7 @@ func TestGoldenProjectRenameLimit(t *testing.T) {
 		tbl := randomTable(tr, "p", tr.Intn(40))
 		b := mustBlock(t, tbl)
 
-		want, err := Project(tbl, "tag", "id")
+		want, err := rowProject(tbl, "tag", "id")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,7 +206,7 @@ func TestGoldenProjectRenameLimit(t *testing.T) {
 		}
 		requireSameTable(t, "Project", want, got.ToTable())
 
-		want, err = Rename(tbl, "x", "y")
+		want, err = rowRename(tbl, "x", "y")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,7 +217,7 @@ func TestGoldenProjectRenameLimit(t *testing.T) {
 		requireSameTable(t, "Rename", want, got.ToTable())
 
 		n := tr.Intn(50)
-		requireSameTable(t, "Limit", Limit(tbl, n), b.Limit(n).ToTable())
+		requireSameTable(t, "Limit", rowLimit(tbl, n), b.Limit(n).ToTable())
 	}
 }
 
@@ -233,7 +232,7 @@ func TestGoldenEquiJoin(t *testing.T) {
 		sc := NewScratch()
 		for _, lc := range cols {
 			for _, rc := range cols {
-				want, err := EquiJoin(l, rt, lc, rc)
+				want, err := rowEquiJoin(l, rt, lc, rc)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -264,7 +263,7 @@ func TestGoldenGroupBy(t *testing.T) {
 		b := mustBlock(t, tbl)
 		for _, keys := range keySets {
 			for ai, aggs := range aggSets {
-				want, err := GroupBy(tbl, keys, aggs)
+				want, err := rowGroupBy(tbl, keys, aggs)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -272,7 +271,7 @@ func TestGoldenGroupBy(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				requireSameTable(t, fmt.Sprintf("GroupBy(keys=%v aggs=%d)", keys, ai), want, got)
+				requireSameTable(t, fmt.Sprintf("GroupBy(keys=%v aggs=%d)", keys, ai), want, got.ToTable())
 			}
 		}
 	}
@@ -285,7 +284,7 @@ func TestGoldenGroupByEmptyGlobal(t *testing.T) {
 		{Fn: AggCount, As: "n"}, {Fn: AggSum, Col: "x", As: "s"},
 		{Fn: AggMin, Col: "x", As: "mn"}, {Fn: AggMax, Col: "tag", As: "mx"},
 	}
-	want, err := GroupBy(tbl, nil, aggs)
+	want, err := rowGroupBy(tbl, nil, aggs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +292,7 @@ func TestGoldenGroupByEmptyGlobal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireSameTable(t, "empty global group", want, got)
+	requireSameTable(t, "empty global group", want, got.ToTable())
 }
 
 func TestGoldenDistinctOrderBy(t *testing.T) {
@@ -304,19 +303,19 @@ func TestGoldenDistinctOrderBy(t *testing.T) {
 		b := mustBlock(t, tbl)
 		sc := NewScratch()
 
-		requireSameTable(t, "Distinct", Distinct(tbl), b.Distinct(sc).ToTable())
+		requireSameTable(t, "Distinct", rowDistinct(tbl), b.Distinct(sc).ToTable())
 
 		// Single-column distinct exercises the code-based fast path.
-		proj, err := Project(tbl, "x")
+		proj, err := rowProject(tbl, "x")
 		if err != nil {
 			t.Fatal(err)
 		}
 		pb := mustBlock(t, proj)
-		requireSameTable(t, "Distinct(single)", Distinct(proj), pb.Distinct(sc).ToTable())
+		requireSameTable(t, "Distinct(single)", rowDistinct(proj), pb.Distinct(sc).ToTable())
 
 		for _, col := range []string{"id", "x", "tag", "flag"} {
 			for _, desc := range []bool{false, true} {
-				want, err := OrderBy(tbl, col, desc)
+				want, err := rowOrderBy(tbl, col, desc)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -332,7 +331,7 @@ func TestGoldenDistinctOrderBy(t *testing.T) {
 
 // TestGoldenQueryPipeline drives the public Query API over chained
 // operations and checks the result against the same chain built from
-// the row operators directly.
+// the oracle operators directly.
 func TestGoldenQueryPipeline(t *testing.T) {
 	r := rng.New(47)
 	for trial := 0; trial < 15; trial++ {
@@ -353,53 +352,22 @@ func TestGoldenQueryPipeline(t *testing.T) {
 		}
 
 		j, _ := people.ColIndex("x")
-		step := Select(people, func(row Row) bool { return row[j].IsNumeric() && row[j].AsFloat() > -1 })
-		step, err = EquiJoin(step, ref, "id", "id")
+		step := rowSelect(people, func(row Row) bool { return row[j].IsNumeric() && row[j].AsFloat() > -1 })
+		step, err = rowEquiJoin(step, ref, "id", "id")
 		if err != nil {
 			t.Fatal(err)
 		}
-		step, err = Project(step, "people.tag", "people.x", "ref.id")
+		step, err = rowProject(step, "people.tag", "people.x", "ref.id")
 		if err != nil {
 			t.Fatal(err)
 		}
-		step = Distinct(step)
-		step, err = OrderBy(step, "people.tag", false)
+		step = rowDistinct(step)
+		step, err = rowOrderBy(step, "people.tag", false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		step = Limit(step, 25)
+		step = rowLimit(step, 25)
 
 		requireSameTable(t, "query pipeline", step, got)
 	}
-}
-
-// TestGoldenSQLMixedColumnFallback checks that a table the columnar
-// layout cannot represent (an int value in a float column, as Insert's
-// widening rules permit before widening) still executes through SQL via
-// the row fallback with identical results.
-func TestQueryRowFallback(t *testing.T) {
-	// Hand-build a table whose "x" column mixes dynamic types, which
-	// strict columnar decode rejects.
-	tbl := &Table{
-		Name: "mixed",
-		Schema: Schema{
-			{Name: "id", Type: TypeInt},
-			{Name: "x", Type: TypeFloat},
-		},
-		Rows: []Row{
-			{Int(1), Float(1.5)},
-			{Int(2), Int(7)}, // dynamic int in a float column
-			{Int(3), Float(-2)},
-		},
-	}
-	if _, err := FromTable(tbl); err == nil {
-		t.Fatal("expected strict decode to reject mixed column")
-	}
-	got, err := From(tbl).WhereFloat("x", func(f float64) bool { return f > 0 }).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	j, _ := tbl.ColIndex("x")
-	want := Select(tbl, func(row Row) bool { return row[j].IsNumeric() && row[j].AsFloat() > 0 })
-	requireSameTable(t, "row fallback", want, got)
 }

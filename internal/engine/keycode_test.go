@@ -93,7 +93,7 @@ func TestAppendKeyRowKeyZeroAllocs(t *testing.T) {
 
 // TestEquiJoinSmallBuildSide checks the shape the build-side choice is
 // for: a large probe relation joined against a much smaller reference
-// table, on both the row and columnar paths.
+// table, for the columnar kernel and the reference oracle alike.
 func TestEquiJoinSmallBuildSide(t *testing.T) {
 	r := rng.New(7)
 	const nLeft, nRight = 5000, 8
@@ -112,7 +112,7 @@ func TestEquiJoinSmallBuildSide(t *testing.T) {
 		right.Rows = append(right.Rows, Row{Int(int64(i)), Str(string(rune('a' + i)))})
 	}
 
-	want, err := EquiJoin(left, right, "region", "rid")
+	want, err := rowEquiJoin(left, right, "region", "rid")
 	if err != nil {
 		t.Fatal(err)
 	}

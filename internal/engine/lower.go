@@ -302,7 +302,7 @@ func (q *Query) neededAtExit(reg *region) map[string]bool {
 				}
 			}
 			need = s
-		default: // opWhereRow, opExtend, opDistinct, opJoin
+		default: // opDistinct, opJoin
 			need = nil
 		}
 	}
@@ -363,8 +363,8 @@ func (q *Query) Explain() (*plan.Tree, error) {
 }
 
 // regionSpec lowers a region to the plan package's spec plus a
-// statistics catalog over the scans. Decoding here is silent — no
-// fallback metrics — because nothing is being executed.
+// statistics catalog over the scans. Decoding here counts no
+// engine.rows_scanned, because nothing is being executed.
 func (q *Query) regionSpec(reg *region) (*plan.RegionSpec, plan.Catalog) {
 	ret := q.retainedCols(reg)
 	spec := &plan.RegionSpec{}
@@ -404,8 +404,6 @@ func (q *Query) regionSpec(reg *region) (*plan.RegionSpec, plan.Catalog) {
 // opNode renders one recorded operation as a plan node over input.
 func opNode(op *qop, input *plan.Node) *plan.Node {
 	switch op.kind {
-	case opWhereRow:
-		return &plan.Node{Kind: plan.KindOpaque, Op: "where(func)", Input: input}
 	case opFilter:
 		return &plan.Node{Kind: plan.KindFilter, Pred: op.expr, Input: input}
 	case opSelect:
@@ -433,8 +431,6 @@ func opNode(op *qop, input *plan.Node) *plan.Node {
 		return &plan.Node{Kind: plan.KindDistinct, Input: input}
 	case opLimit:
 		return &plan.Node{Kind: plan.KindLimit, N: op.n, Input: input}
-	case opExtend:
-		return &plan.Node{Kind: plan.KindOpaque, Op: "extend " + op.extName, Input: input}
 	}
 	return input
 }

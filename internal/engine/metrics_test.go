@@ -7,83 +7,8 @@ import (
 	"modeldata/internal/obs"
 )
 
-// mixedTable returns a table whose float column carries a dynamically
-// typed int value, which the strict columnar decode rejects — the
-// canonical trigger of the columnar→row fallback latch.
-func mixedTable() *Table {
-	return &Table{
-		Name: "mixed",
-		Schema: Schema{
-			{Name: "id", Type: TypeInt},
-			{Name: "x", Type: TypeFloat},
-		},
-		Rows: []Row{
-			{Int(1), Float(1.5)},
-			{Int(2), Int(7)}, // int in a float column: decode fails
-			{Int(3), Float(-2)},
-		},
-	}
-}
-
-// TestColFallbackCounterFires pins the observability contract of the
-// fallback latch: a query over a mixed-type table must still produce
-// correct results on the row path AND increment engine.colfallback —
-// before the counter existed the slowdown was completely silent.
-func TestColFallbackCounterFires(t *testing.T) {
-	before := obs.Default().Counter(MetricColFallback).Value()
-
-	res, err := From(mixedTable()).
-		WhereFloat("x", func(v float64) bool { return v > 0 }).
-		Select("id").
-		Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Len() != 2 {
-		t.Fatalf("row-path result has %d rows, want 2", res.Len())
-	}
-
-	after := obs.Default().Counter(MetricColFallback).Value()
-	if after <= before {
-		t.Fatalf("engine.colfallback did not advance: before=%d after=%d", before, after)
-	}
-
-	// The latch converts at most once per chain: a second operation on
-	// the same chain must not pay (or count) another decode attempt.
-	base := From(mixedTable()).WhereFloat("x", func(v float64) bool { return v > -10 })
-	mid := obs.Default().Counter(MetricColFallback).Value()
-	if _, err := base.Select("id").Distinct().Run(); err != nil {
-		t.Fatal(err)
-	}
-	grew := obs.Default().Counter(MetricColFallback).Value() - mid
-	if grew > 1 {
-		t.Fatalf("latched chain re-counted the fallback %d times, want at most 1", grew)
-	}
-}
-
-// TestColFallbackSQLCounterFires drives the same latch through the SQL
-// executor, whose fallback decision point is separate from the query
-// builder's.
-func TestColFallbackSQLCounterFires(t *testing.T) {
-	db := NewDatabase()
-	db.Put(mixedTable())
-
-	before := obs.Default().Counter(MetricColFallback).Value()
-	res, err := db.Query("SELECT id FROM mixed")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Len() != 3 {
-		t.Fatalf("result has %d rows, want 3", res.Len())
-	}
-	after := obs.Default().Counter(MetricColFallback).Value()
-	if after <= before {
-		t.Fatalf("engine.colfallback did not advance via SQL: before=%d after=%d", before, after)
-	}
-}
-
-// TestColPathCounterFires checks the happy-path twin: a clean table
-// goes columnar and counts engine.colpath, not engine.colfallback.
+// TestColPathCounterFires checks that a query execution counts
+// engine.colpath.
 func TestColPathCounterFires(t *testing.T) {
 	clean := &Table{
 		Name: "clean",
@@ -97,22 +22,59 @@ func TestColPathCounterFires(t *testing.T) {
 		},
 	}
 	colBefore := obs.Default().Counter(MetricColQueries).Value()
-	fbBefore := obs.Default().Counter(MetricColFallback).Value()
 	if _, err := From(clean).WhereFloat("x", func(v float64) bool { return v > 2 }).Run(); err != nil {
 		t.Fatal(err)
 	}
 	if got := obs.Default().Counter(MetricColQueries).Value(); got <= colBefore {
 		t.Fatalf("engine.colpath did not advance: before=%d after=%d", colBefore, got)
 	}
-	if got := obs.Default().Counter(MetricColFallback).Value(); got != fbBefore {
-		t.Fatalf("clean table advanced engine.colfallback: before=%d after=%d", fbBefore, got)
+}
+
+// TestRowsScannedOncePerSource pins engine.rows_scanned's meaning: the
+// rows of every source relation, counted once when it is read, however
+// many operators then run over them.
+func TestRowsScannedOncePerSource(t *testing.T) {
+	const n = 37
+	src := MustNewTable("src", Schema{{Name: "k", Type: TypeInt}, {Name: "x", Type: TypeFloat}})
+	for i := 0; i < n; i++ {
+		src.MustInsert(Int(int64(i%4)), Float(float64(i)))
+	}
+	dim := MustNewTable("dim", Schema{{Name: "k", Type: TypeInt}})
+	for i := 0; i < 3; i++ {
+		dim.MustInsert(Int(int64(i)))
+	}
+	scanned := func(q *Query) int64 {
+		t.Helper()
+		before := obs.Default().Counter(MetricRowsScanned).Value()
+		if _, err := q.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return obs.Default().Counter(MetricRowsScanned).Value() - before
+	}
+	if got := scanned(From(src).GroupBy([]string{"k"}, Aggregate{Fn: AggSum, Col: "x", As: "s"})); got != n {
+		t.Fatalf("group-by over %d rows scanned %d", n, got)
+	}
+	filtered := From(src).
+		WhereFloat("x", func(v float64) bool { return v > 5 }).
+		Distinct().
+		OrderBy("x", true)
+	if got := scanned(filtered); got != n {
+		t.Fatalf("filter+distinct+order-by over %d rows scanned %d", n, got)
+	}
+	for _, on := range []bool{false, true} {
+		if got := scanned(From(src).Join(dim, "k", "k").WithPlanner(on)); got != n+3 {
+			t.Fatalf("join (planner %v) scanned %d, want %d", on, got, n+3)
+		}
+	}
+	if got := scanned(FromStorage(src).Limit(1)); got != n {
+		t.Fatalf("storage scan of %d rows scanned %d", n, got)
 	}
 }
 
 // TestMetricNamesFollowScheme guards the DESIGN.md §8 naming scheme:
 // engine metrics live under the "engine." prefix.
 func TestMetricNamesFollowScheme(t *testing.T) {
-	for _, name := range []string{MetricColFallback, MetricColQueries, MetricRowsScanned} {
+	for _, name := range []string{MetricColQueries, MetricRowsScanned} {
 		if !strings.HasPrefix(name, "engine.") {
 			t.Errorf("metric %q does not carry the engine. prefix", name)
 		}

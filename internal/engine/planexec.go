@@ -43,37 +43,31 @@ const satCap = int64(1) << 62
 
 // planRegion plans and executes q's join region, leaving the region's
 // output in ch. It returns the number of leading ops consumed and
-// whether it handled them; (0, false) means the caller must replay
-// everything through the direct chain.
-func (q *Query) planRegion(ch *chain) (int, bool) {
+// whether it handled them; (0, false, nil) means the caller must
+// replay everything through the direct chain. A scan that fails to
+// decode is an error either way.
+func (q *Query) planRegion(ch *chain) (int, bool, error) {
 	reg := q.lowerRegion()
 	if reg == nil {
-		return 0, false
+		return 0, false, nil
 	}
 	m := len(reg.joins)
 
-	// Decode every scan, deduplicating self-joins. Any failure falls
-	// back to the direct chain, which reproduces the historical mixed
-	// row/column execution for undecodable tables.
+	// Decode every scan, deduplicating self-joins; each scan counts its
+	// rows, as the direct chain's source and join decodes do.
 	blocks := make([]*ColumnBlock, len(reg.scans))
 	decoded := make(map[*Table]*ColumnBlock, len(reg.scans))
 	for s, t := range reg.scans {
-		if b, ok := decoded[t]; ok {
-			blocks[s] = b
-			continue
-		}
-		b, err := FromTable(t)
-		if err != nil {
-			if s == 0 {
-				// The direct chain would hit this decode too; latch the
-				// fallback now so it is noted exactly once.
-				noteColFallback(err)
-				ch.noCol = true
+		b, ok := decoded[t]
+		if !ok {
+			var err error
+			if b, err = FromTable(t); err != nil {
+				return 0, false, err
 			}
-			return 0, false
+			decoded[t] = b
 		}
+		rowsScanned.Add(int64(b.Len()))
 		blocks[s] = b
-		decoded[t] = b
 	}
 
 	// Pushed filters: failPos[s][i] is the earliest written position
@@ -91,10 +85,9 @@ func (q *Query) planRegion(ch *chain) (int, bool) {
 		b := blocks[f.scan]
 		pred, err := compileExprBlock(f.pred, b, q)
 		if err != nil {
-			return 0, false
+			return 0, false, nil
 		}
 		n := b.Len()
-		rowsScanned.Add(int64(n))
 		fp := failPos[f.scan]
 		pos := int32(f.pos)
 		for i := 0; i < n; i++ {
@@ -115,11 +108,11 @@ func (q *Query) planRegion(ch *chain) (int, bool) {
 	for p, jn := range reg.joins {
 		a, err := blocks[jn.leftScan].ColIndex(jn.leftCol)
 		if err != nil {
-			return 0, false
+			return 0, false, nil
 		}
 		bcol, err := blocks[p+1].ColIndex(jn.rightCol)
 		if err != nil {
-			return 0, false
+			return 0, false, nil
 		}
 		lj[p], rj[p] = a, bcol
 	}
@@ -298,19 +291,18 @@ func (q *Query) planRegion(ch *chain) (int, bool) {
 	for _, p := range reg.post {
 		pred, err := compileExprBlock(p, acc, q)
 		if err != nil {
-			return 0, false
+			return 0, false, nil
 		}
 		acc = acc.whereFunc(pred)
 	}
 
-	colQueries.Add(1)
 	planPlanned.Add(1)
 	planPushdown.Add(int64(pushedBelow))
 	if reordered {
 		planReordered.Add(1)
 	}
-	ch.setBlock(acc)
-	return reg.end, true
+	ch.b = acc
+	return reg.end, true, nil
 }
 
 // chooseOrder runs (or recalls) the cost-based join-order choice.

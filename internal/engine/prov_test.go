@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"modeldata/internal/engine/plan"
 	"modeldata/internal/prov"
 )
 
@@ -217,17 +218,17 @@ func TestProvStorageBacked(t *testing.T) {
 	}
 }
 
-// TestProvRowPathFallback: a table that fails the strict columnar
-// decode (mixed dynamic types) still threads provenance through the
-// row operators.
-func TestProvRowPathFallback(t *testing.T) {
+// TestProvIntWidenedIntoFloatColumn: a hand-built table holding an int
+// in a float column decodes (the int widens, as Insert would widen
+// it) and threads provenance like any other table.
+func TestProvIntWidenedIntoFloatColumn(t *testing.T) {
 	mixed := MustNewTable("mixed", Schema{
 		{Name: "k", Type: TypeInt},
 		{Name: "v", Type: TypeFloat},
 	})
 	mixed.Rows = append(mixed.Rows,
 		Row{Int(1), Float(1.5)},
-		Row{Int(2), Int(7)}, // dynamic Int in a Float column: decode fails
+		Row{Int(2), Int(7)}, // dynamic Int in a Float column: widened on decode
 		Row{Int(1), Float(2.5)},
 	)
 	res := From(mixed).
@@ -263,9 +264,12 @@ func TestProvOutputUnchangedRandomized(t *testing.T) {
 		},
 		func() *Query { return From(people).Select("city").Distinct().OrderBy("city", false) },
 		func() *Query {
-			return From(people).Extend("older", TypeFloat, func(r Row) Value { return Float(r[2].AsFloat() + 1) }).Limit(3)
+			return From(people).GroupBy([]string{"city"},
+				Aggregate{Fn: AggMin, Col: "age", As: "lo"}, Aggregate{Fn: AggAvg, Col: "age", As: "mean"}).Limit(1)
 		},
-		func() *Query { return From(people).Where(func(r Row) bool { return r[0].AsInt()%2 == 1 }) },
+		func() *Query {
+			return From(people).WhereExpr(plan.Not{E: plan.Between{Col: "pid", Lo: plan.IntLit(2), Hi: plan.IntLit(3)}})
+		},
 	}
 	for si, mk := range shapes {
 		for _, plannerOn := range []bool{true, false} {

@@ -19,8 +19,6 @@ package engine
 // written-order execution.
 
 import (
-	"fmt"
-
 	"modeldata/internal/prov"
 )
 
@@ -52,12 +50,6 @@ func (q *Query) WithProvenance() *Query {
 	return &nq
 }
 
-// hasProvCol reports whether the schema's last column is the hidden
-// provenance column.
-func hasProvCol(s Schema) bool {
-	return len(s) > 0 && s[len(s)-1].Name == provColName
-}
-
 // annotateBlock appends the provenance column to a source block: row i
 // gets the singleton set {name:i}. Row indexes are logical, so the
 // leaf of a source row is its index in the source relation.
@@ -77,50 +69,20 @@ func (ps *provState) annotateBlock(b *ColumnBlock) *ColumnBlock {
 	}
 }
 
-// annotateTable is annotateBlock for the row path.
-func (ps *provState) annotateTable(t *Table) *Table {
-	out := &Table{Name: t.Name, Schema: append(t.Schema.Clone(), provCol)}
-	out.Rows = make([]Row, len(t.Rows))
-	for i, r := range t.Rows {
-		nr := make(Row, 0, len(r)+1)
-		nr = append(nr, r...)
-		nr = append(nr, Int(int64(ps.arena.Leaf(t.Name, i))))
-		out.Rows[i] = nr
+// stripProv materializes an annotated result: the user columns become
+// the table's rows and the hidden provenance column its lineage, so
+// callers see exactly the schema they asked for.
+func stripProv(arena *prov.Arena, b *ColumnBlock) *Table {
+	pi := len(b.Schema) - 1
+	sets := make([]prov.Set, b.Len())
+	pvec := b.cols[pi].ints
+	for i := range sets {
+		sets[i] = prov.Set(pvec[b.phys(i)])
 	}
-	provAnnotated.Add(int64(len(t.Rows)))
-	return out
-}
-
-// annotateSource appends source annotations to the chain's current
-// state (the scan the recorded operations will replay over).
-func (c *chain) annotateSource() {
-	if b := c.block(); b != nil {
-		c.setBlock(c.prov.annotateBlock(b))
-		return
-	}
-	c.setTable(c.prov.annotateTable(c.t))
-}
-
-// stripProv detaches the hidden provenance column from a materialized
-// result, moving the per-row sets into the table's lineage so callers
-// see exactly the schema they asked for.
-func stripProv(arena *prov.Arena, t *Table) *Table {
-	if !hasProvCol(t.Schema) {
-		return t
-	}
-	pi := len(t.Schema) - 1
-	sets := make([]prov.Set, len(t.Rows))
-	rows := make([]Row, len(t.Rows))
-	for i, r := range t.Rows {
-		sets[i] = prov.Set(r[pi].AsInt())
-		rows[i] = r[:pi:pi]
-	}
-	return &Table{
-		Name:    t.Name,
-		Schema:  t.Schema[:pi].Clone(),
-		Rows:    rows,
-		lineage: &tableLineage{arena: arena, sets: sets},
-	}
+	user := &ColumnBlock{Name: b.Name, Schema: b.Schema[:pi], nrows: b.nrows, sel: b.sel, cols: b.cols[:pi]}
+	t := user.ToTable()
+	t.lineage = &tableLineage{arena: arena, sets: sets}
+	return t
 }
 
 // applyProv executes the recorded operations that must combine or
@@ -128,32 +90,16 @@ func stripProv(arena *prov.Arena, t *Table) *Table {
 // plain executor already keeps correct (filters, rename, order-by,
 // limit only select or permute rows, and the provenance column rides
 // along untouched).
-func (c *chain) applyProv(op *qop, q *Query) (handled bool, err error) {
+func (c *chain) applyProv(op *qop) (handled bool, err error) {
 	switch op.kind {
-	case opWhereRow:
-		// The opaque predicate must see the user row shape, not the
-		// annotated one.
-		t := c.table()
-		pi := len(t.Schema) - 1
-		c.setTable(Select(t, func(r Row) bool { return op.pred(r[:pi]) }))
-		return true, nil
-
 	case opSelect:
 		// Project the user columns plus the hidden one.
 		cols := append(append(make([]string, 0, len(op.cols)+1), op.cols...), provColName)
-		if b := c.block(); b != nil {
-			nb, err := b.Project(cols...)
-			if err != nil {
-				return true, err
-			}
-			c.setBlock(nb)
-			return true, nil
-		}
-		t, err := Project(c.table(), cols...)
+		nb, err := c.b.Project(cols...)
 		if err != nil {
 			return true, err
 		}
-		c.setTable(t)
+		c.b = nb
 		return true, nil
 
 	case opJoin:
@@ -164,26 +110,6 @@ func (c *chain) applyProv(op *qop, q *Query) (handled bool, err error) {
 
 	case opDistinct:
 		return true, c.provDistinct()
-
-	case opExtend:
-		// Extend's callback must see user rows; compute over the
-		// stripped shape, then re-attach the annotation column last.
-		t := c.table()
-		pi := len(t.Schema) - 1
-		stripped := &Table{Name: t.Name, Schema: t.Schema[:pi].Clone(), Rows: make([]Row, len(t.Rows))}
-		for i, r := range t.Rows {
-			stripped.Rows[i] = r[:pi:pi]
-		}
-		et, err := Extend(stripped, op.extName, op.extType, op.extFn)
-		if err != nil {
-			return true, err
-		}
-		et.Schema = append(et.Schema, provCol)
-		for i, r := range et.Rows {
-			et.Rows[i] = append(r, t.Rows[i][pi])
-		}
-		c.setTable(et)
-		return true, nil
 	}
 	return false, nil
 }
@@ -194,157 +120,68 @@ func (c *chain) applyProv(op *qop, q *Query) (handled bool, err error) {
 // counts are unchanged by the extra column, so the build-side choice —
 // and therefore emission order — matches an unannotated run exactly.
 func (c *chain) provJoin(op *qop) error {
-	if b := c.block(); b != nil {
-		if rb, err := FromTable(op.joinT); err == nil {
-			arb := c.prov.annotateBlock(rb)
-			jb, err := b.equiJoinBudget(arb, op.joinL, op.joinR, c.sc, c.budget, c.spillDir)
-			if err != nil {
-				return err
-			}
-			// Left annotations sit just before the right side's columns,
-			// right annotations last; both are dense after the join.
-			lp := len(b.Schema) - 1
-			rp := len(jb.Schema) - 1
-			merged := make([]int64, jb.nrows)
-			lints, rints := jb.cols[lp].ints, jb.cols[rp].ints
-			for i := range merged {
-				merged[i] = int64(c.prov.arena.Join(prov.Set(lints[i]), prov.Set(rints[i])))
-			}
-			out := &ColumnBlock{
-				Name:   op.name,
-				Schema: append(op.schema.Clone(), provCol),
-				nrows:  jb.nrows,
-				sel:    jb.sel,
-				cols:   make([]colvec, 0, len(op.schema)+1),
-			}
-			for j := range jb.Schema {
-				if j == lp || j == rp {
-					continue
-				}
-				out.cols = append(out.cols, jb.cols[j])
-			}
-			out.cols = append(out.cols, colvec{ints: merged})
-			c.setBlock(out)
-			return nil
-		}
-	}
-	t := c.table()
-	art := c.prov.annotateTable(op.joinT)
-	jt, err := EquiJoin(t, art, op.joinL, op.joinR)
+	rb, err := scan(op.joinT)
 	if err != nil {
 		return err
 	}
-	lp := len(t.Schema) - 1
-	rp := len(jt.Schema) - 1
-	out := &Table{Name: op.name, Schema: append(op.schema.Clone(), provCol)}
-	out.Rows = make([]Row, len(jt.Rows))
-	for i, r := range jt.Rows {
-		m := c.prov.arena.Join(prov.Set(r[lp].AsInt()), prov.Set(r[rp].AsInt()))
-		nr := make(Row, 0, len(out.Schema))
-		nr = append(nr, r[:lp]...)
-		nr = append(nr, r[lp+1:rp]...)
-		nr = append(nr, Int(int64(m)))
-		out.Rows[i] = nr
+	b := c.b
+	jb, err := b.equiJoinBudget(c.prov.annotateBlock(rb), op.joinL, op.joinR, c.sc, c.budget, c.spillDir)
+	if err != nil {
+		return err
 	}
-	c.setTable(out)
+	// Left annotations sit just before the right side's columns, right
+	// annotations last; both are dense after the join.
+	lp := len(b.Schema) - 1
+	rp := len(jb.Schema) - 1
+	merged := make([]int64, jb.nrows)
+	lints, rints := jb.cols[lp].ints, jb.cols[rp].ints
+	for i := range merged {
+		merged[i] = int64(c.prov.arena.Join(prov.Set(lints[i]), prov.Set(rints[i])))
+	}
+	out := &ColumnBlock{
+		Name:   op.name,
+		Schema: append(op.schema.Clone(), provCol),
+		nrows:  jb.nrows,
+		sel:    jb.sel,
+		cols:   make([]colvec, 0, len(op.schema)+1),
+	}
+	for j := range jb.Schema {
+		if j == lp || j == rp {
+			continue
+		}
+		out.cols = append(out.cols, jb.cols[j])
+	}
+	out.cols = append(out.cols, colvec{ints: merged})
+	c.b = out
 	return nil
 }
 
 // provGroupBy aggregates with ⊕-combined group annotations: each output
 // group's set is the union of its input rows' sets, accumulated in
 // logical row order. The aggregate values come from the same
-// first-appearance grouping the plain operators use, so visible output
+// first-appearance grouping the plain operator uses, so visible output
 // is identical to an unannotated run. Provenance group-bys never spill:
 // annotations live in the arena, which the on-disk partitions cannot
 // carry.
 func (c *chain) provGroupBy(op *qop) error {
-	if b := c.block(); b != nil {
-		keyIdx, aggIdx, err := b.groupCols(op.cols, op.aggs)
-		if err != nil {
-			return err
-		}
-		n := b.Len()
-		var gids, firstP []int32
-		if len(keyIdx) == 0 {
-			gids = make([]int32, n)
-			if n > 0 {
-				firstP = []int32{int32(b.phys(0))}
-			}
-		} else {
-			gids, firstP = b.groupIDs(keyIdx, c.sc)
-		}
-		nGroups := len(firstP)
-		synthesized := false
-		if len(op.cols) == 0 && nGroups == 0 {
-			nGroups = 1
-			synthesized = true
-		}
-		rows := b.aggregateGroups(keyIdx, aggIdx, op.aggs, gids, firstP, nGroups, synthesized)
-		gsets := make([]prov.Set, nGroups)
-		pvec := b.cols[len(b.Schema)-1].ints
-		for i := 0; i < n; i++ {
-			g := gids[i]
-			gsets[g] = c.prov.arena.Union(gsets[g], prov.Set(pvec[b.phys(i)]))
-		}
-		out, err := NewTable(op.name, append(op.schema.Clone(), provCol))
-		if err != nil {
-			return err
-		}
-		out.Rows = rows
-		for g := range out.Rows {
-			out.Rows[g] = append(out.Rows[g], Int(int64(gsets[g])))
-		}
-		c.setTable(out)
-		return nil
-	}
-
-	// Row path: group assignment replicates GroupBy's first-appearance
-	// keying over the user columns, so the plain aggregate rows and the
-	// per-group annotation merges line up index for index.
-	t := c.table()
-	pi := len(t.Schema) - 1
-	stripped := &Table{Name: t.Name, Schema: t.Schema[:pi].Clone(), Rows: make([]Row, len(t.Rows))}
-	for i, r := range t.Rows {
-		stripped.Rows[i] = r[:pi:pi]
-	}
-	gt, err := GroupBy(stripped, op.cols, op.aggs)
+	b := c.b
+	keyIdx, aggIdx, err := b.groupCols(op.cols, op.aggs)
 	if err != nil {
 		return err
 	}
-	keyIdx := make([]int, len(op.cols))
-	for i, k := range op.cols {
-		j, err := stripped.ColIndex(k)
-		if err != nil {
-			return err
-		}
-		keyIdx[i] = j
+	gids, firstP, nGroups := b.groups(keyIdx, c.sc)
+	cols := b.aggregateGroups(keyIdx, aggIdx, op.aggs, gids, firstP, nGroups)
+	gsets := make([]int64, nGroups)
+	pvec := b.cols[len(b.Schema)-1].ints
+	for i, g := range gids {
+		gsets[g] = int64(c.prov.arena.Union(prov.Set(gsets[g]), prov.Set(pvec[b.phys(i)])))
 	}
-	gofKey := make(map[string]int, len(gt.Rows))
-	var gsets []prov.Set
-	var keyBuf []byte
-	for i, r := range stripped.Rows {
-		keyBuf = appendRowKey(keyBuf[:0], r, keyIdx)
-		g, ok := gofKey[string(keyBuf)]
-		if !ok {
-			g = len(gsets)
-			gofKey[string(keyBuf)] = g
-			gsets = append(gsets, prov.Empty)
-		}
-		gsets[g] = c.prov.arena.Union(gsets[g], prov.Set(t.Rows[i][pi].AsInt()))
+	c.b = &ColumnBlock{
+		Name:   op.name,
+		Schema: append(op.schema.Clone(), provCol),
+		nrows:  nGroups,
+		cols:   append(cols, colvec{ints: gsets}),
 	}
-	if len(gsets) == 0 && len(gt.Rows) == 1 {
-		// Synthesized empty global group: no inputs, empty annotation.
-		gsets = append(gsets, prov.Empty)
-	}
-	if len(gsets) != len(gt.Rows) {
-		return fmt.Errorf("engine: provenance group count %d != aggregate group count %d", len(gsets), len(gt.Rows))
-	}
-	gt.Name = op.name
-	gt.Schema = append(gt.Schema, provCol)
-	for g := range gt.Rows {
-		gt.Rows[g] = append(gt.Rows[g], Int(int64(gsets[g])))
-	}
-	c.setTable(gt)
 	return nil
 }
 
@@ -352,62 +189,36 @@ func (c *chain) provGroupBy(op *qop) error {
 // ⊕-merges each duplicate's annotation into the kept first row, so the
 // surviving row names every input that could have produced it.
 func (c *chain) provDistinct() error {
-	if b := c.block(); b != nil {
-		pi := len(b.Schema) - 1
-		userIdx := make([]int, pi)
-		for j := range userIdx {
-			userIdx[j] = j
-		}
-		var gids, firstP []int32
-		if pi == 0 {
-			// Degenerate: every row is the same (empty) user tuple.
-			n := b.Len()
-			gids = make([]int32, n)
-			if n > 0 {
-				firstP = []int32{int32(b.phys(0))}
-			}
-		} else {
-			gids, firstP = b.groupIDs(userIdx, c.sc)
-		}
-		gsets := make([]prov.Set, len(firstP))
-		pvec := b.cols[pi].ints
+	b := c.b
+	pi := len(b.Schema) - 1
+	userIdx := make([]int, pi)
+	for j := range userIdx {
+		userIdx[j] = j
+	}
+	var gids, firstP []int32
+	if pi == 0 {
+		// Degenerate: every row is the same (empty) user tuple.
 		n := b.Len()
-		for i := 0; i < n; i++ {
-			g := gids[i]
-			gsets[g] = c.prov.arena.Union(gsets[g], prov.Set(pvec[b.phys(i)]))
+		gids = make([]int32, n)
+		if n > 0 {
+			firstP = []int32{int32(b.phys(0))}
 		}
-		merged := make([]int64, b.nrows)
-		for g, p := range firstP {
-			merged[p] = int64(gsets[g])
-		}
-		nb, err := b.withSel(firstP).WithColumn(pi, merged)
-		if err != nil {
-			return err
-		}
-		c.setBlock(nb)
-		return nil
+	} else {
+		gids, firstP = b.groupIDs(userIdx, c.sc)
 	}
-	t := c.table()
-	pi := len(t.Schema) - 1
-	seen := make(map[string]int, len(t.Rows))
-	out := &Table{Name: t.Name, Schema: t.Schema.Clone()}
-	var keyBuf []byte
-	for _, r := range t.Rows {
-		keyBuf = keyBuf[:0]
-		for _, v := range r[:pi] {
-			keyBuf = v.AppendKey(keyBuf)
-		}
-		s := prov.Set(r[pi].AsInt())
-		if k, ok := seen[string(keyBuf)]; ok {
-			kr := out.Rows[k]
-			kr[pi] = Int(int64(c.prov.arena.Union(prov.Set(kr[pi].AsInt()), s)))
-			continue
-		}
-		seen[string(keyBuf)] = len(out.Rows)
-		nr := make(Row, len(r))
-		copy(nr, r)
-		out.Rows = append(out.Rows, nr)
+	gsets := make([]prov.Set, len(firstP))
+	pvec := b.cols[pi].ints
+	for i, g := range gids {
+		gsets[g] = c.prov.arena.Union(gsets[g], prov.Set(pvec[b.phys(i)]))
 	}
-	c.setTable(out)
+	merged := make([]int64, b.nrows)
+	for g, p := range firstP {
+		merged[p] = int64(gsets[g])
+	}
+	nb, err := b.withSel(firstP).WithColumn(pi, merged)
+	if err != nil {
+		return err
+	}
+	c.b = nb
 	return nil
 }

@@ -29,15 +29,16 @@ import (
 //	ids := base.Select("pid")     // does not affect base
 //	n, _ := base.Count()          // still the un-projected prefix
 //
-// Execution: when the planner is enabled (the default), Run lowers the
+// Execution runs over column blocks: the source table is decoded once
+// (ErrMixedColumn if it holds a value its column cannot), every
+// operation runs a columnar kernel, and Run materializes rows once at
+// the end. When the planner is enabled (the default), Run lowers the
 // query's scan/filter/join prefix into a logical plan
 // (internal/engine/plan), pushes filters below joins, picks a join
 // order and build sides by estimated cardinality, and executes the
-// optimized plan over the columnar operators; the rest of the query
-// replays as written. The planner never changes results: planner-on
-// output is byte-identical to planner-off output, which in turn is the
-// historical columnar-with-row-fallback execution (golden_test.go and
-// planner_test.go enforce both equalities). Explain returns the
+// optimized plan; the rest of the query replays as written. The
+// planner never changes results: planner-on output is byte-identical
+// to planner-off output (planner_test.go). Explain returns the
 // optimized plan without executing it. Each Run builds private
 // execution state, so queries and their branches may run concurrently.
 type Query struct {
@@ -79,8 +80,7 @@ type Query struct {
 type opKind uint8
 
 const (
-	opWhereRow opKind = iota // opaque row predicate
-	opFilter                 // inspectable plan.Expr filter
+	opFilter opKind = iota // inspectable plan.Expr filter
 	opSelect
 	opRename
 	opJoin
@@ -88,7 +88,6 @@ const (
 	opOrderBy
 	opDistinct
 	opLimit
-	opExtend
 )
 
 // qop is one recorded operation, together with the eagerly computed
@@ -97,8 +96,6 @@ type qop struct {
 	kind   opKind
 	name   string
 	schema Schema
-
-	pred Predicate // opWhereRow
 
 	expr plan.Expr          // opFilter
 	ffn  func(float64) bool // opFilter: WhereFloat closure (ColPred ref target)
@@ -121,10 +118,6 @@ type qop struct {
 	desc bool
 
 	n int // opLimit
-
-	extName string // opExtend
-	extType Type
-	extFn   func(Row) Value
 }
 
 // --- planner mode ---
@@ -259,17 +252,6 @@ func (q *Query) colPredFns(ref int) (func(float64) bool, func(string) bool) {
 		return nil, nil
 	}
 	return q.ops[ref].ffn, q.ops[ref].sfn
-}
-
-// Where keeps rows satisfying pred. The predicate receives whole rows,
-// so it is opaque to the planner and runs on the row path; prefer
-// WhereEq/WhereFloat/WhereString (or WhereExpr) for filters the
-// planner can push down and vectorize.
-func (q *Query) Where(pred Predicate) *Query {
-	if q.err != nil {
-		return q
-	}
-	return q.push(&qop{kind: opWhereRow, pred: pred, name: q.name, schema: q.schema})
 }
 
 // WhereEq keeps rows whose column equals v.
@@ -486,50 +468,40 @@ func (q *Query) Limit(n int) *Query {
 	return q.push(&qop{kind: opLimit, n: n, name: q.name, schema: q.schema})
 }
 
-// Extend appends a computed column. The callback receives whole rows,
-// so this operation is opaque to the planner and runs on the row path.
-func (q *Query) Extend(name string, typ Type, f func(Row) Value) *Query {
-	if q.err != nil {
-		return q
-	}
-	schema := append(q.schema.Clone(), Column{Name: name, Type: typ})
-	if err := schema.Validate(); err != nil {
-		return q.fail(err)
-	}
-	return q.push(&qop{kind: opExtend, extName: name, extType: typ, extFn: f, name: q.name, schema: schema})
-}
-
 // --- execution ---
 
 // exec runs the recorded operations and returns the final execution
 // state. The planner, when enabled, executes the leading
 // scan/filter/join region from its optimized plan; everything else
 // (and everything, when the planner is off or the region cannot be
-// planned) replays through the chain, which is the historical eager
-// execution verbatim.
+// planned) replays through the chain one operation at a time.
 func (q *Query) exec() (*chain, error) {
 	budget, dir := q.spillConfig()
+	colQueries.Add(1)
 	if q.store != nil {
 		return q.execStorage(budget, dir)
 	}
-	ch := &chain{t: q.src, sc: NewScratch(), budget: budget, spillDir: dir}
+	ch := &chain{sc: NewScratch(), budget: budget, spillDir: dir}
 	if q.provOn {
 		ch.prov = &provState{arena: prov.NewArena()}
 	}
 	start := 0
 	if q.plannerOn() {
-		if n, handled := q.planRegion(ch); handled {
-			start = n
-		} else {
-			planDirect.Add(1)
+		n, handled, err := q.planRegion(ch)
+		if err != nil {
+			return nil, err
 		}
-	} else {
-		planDirect.Add(1)
+		if handled {
+			start = n
+		}
 	}
-	if start == 0 && ch.prov != nil {
-		// The planner did not produce (annotated) region output, so the
-		// source scan itself is the leaf relation.
-		ch.annotateSource()
+	if start == 0 {
+		planDirect.Add(1)
+		b, err := scan(q.src)
+		if err != nil {
+			return nil, err
+		}
+		ch.setSource(b)
 	}
 	for _, op := range q.ops[start:] {
 		if err := ch.apply(op, q); err != nil {
@@ -537,6 +509,18 @@ func (q *Query) exec() (*chain, error) {
 		}
 	}
 	return ch, nil
+}
+
+// scan decodes a source table into a block, counting its rows in
+// engine.rows_scanned: every relation a query reads passes through
+// here (or through execStorage's partition loop) exactly once.
+func scan(t *Table) (*ColumnBlock, error) {
+	b, err := FromTable(t)
+	if err != nil {
+		return nil, err
+	}
+	rowsScanned.Add(int64(b.Len()))
+	return b, nil
 }
 
 // execStorage scans q.store's partitions — handing the scan the
@@ -570,6 +554,7 @@ func (q *Query) execStorage(budget int64, dir string) (*chain, error) {
 		if b == nil {
 			break
 		}
+		rowsScanned.Add(int64(b.Len()))
 		parts = append(parts, b)
 	}
 	b, err := concatBlocks(q.store.StorageName(), q.store.StorageSchema(), parts)
@@ -577,12 +562,10 @@ func (q *Query) execStorage(budget int64, dir string) (*chain, error) {
 		return nil, err
 	}
 	ch := &chain{sc: NewScratch(), budget: budget, spillDir: dir}
-	ch.setBlock(b)
 	if q.provOn {
 		ch.prov = &provState{arena: prov.NewArena()}
-		ch.annotateSource()
 	}
-	colQueries.Add(1)
+	ch.setSource(b)
 	planDirect.Add(1)
 	for _, op := range q.ops {
 		if err := ch.apply(op, q); err != nil {
@@ -597,14 +580,10 @@ func (q *Query) execStorage(budget int64, dir string) (*chain, error) {
 // its stored (scan) name, which is all zone maps can judge. The
 // leading run extends through Select and Rename — both are pure name
 // reshaping, so a filter written after them still provably restricts
-// scan columns — and stops at the first operation that can change row
-// content or multiplicity (join, group-by, distinct, extend, opaque
-// predicates). Historically the run stopped at the first non-filter
-// op, so a leading Select or Rename silently disabled zone-map pruning
-// for every filter written after it. ColPred filters are included (the
-// zone evaluator treats them as "must decode"), keeping the
-// conjunction's And shape intact for the prunable conjuncts around
-// them.
+// scan columns — and stops at any other operation. ColPred filters
+// are included (the zone evaluator treats them as "must decode"),
+// keeping the conjunction's And shape intact for the prunable
+// conjuncts around them.
 func (q *Query) leadingFilterExpr() plan.Expr {
 	var e plan.Expr
 	// toStored maps the current (lowercased) column names back to
@@ -653,7 +632,8 @@ func (q *Query) leadingFilterExpr() plan.Expr {
 	return e
 }
 
-// Run returns the result table or the first error encountered.
+// Run returns the result table or the first error encountered. Rows
+// are materialized here, once, from the final block.
 func (q *Query) Run() (*Table, error) {
 	if q.err != nil {
 		return nil, q.err
@@ -662,11 +642,10 @@ func (q *Query) Run() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := ch.table()
 	if ch.prov != nil {
-		t = stripProv(ch.prov.arena, t)
+		return stripProv(ch.prov.arena, ch.b), nil
 	}
-	return t, nil
+	return ch.b.ToTable(), nil
 }
 
 // MustRun returns the result table, panicking on error; for tests and
@@ -688,10 +667,7 @@ func (q *Query) Count() (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	if ch.b != nil {
-		return ch.b.Len(), nil
-	}
-	return ch.t.Len(), nil
+	return ch.b.Len(), nil
 }
 
 // ScalarFloat runs the query, which must produce exactly one row and one
@@ -712,22 +688,15 @@ func (q *Query) ScalarFloat() (float64, error) {
 	return v.AsFloat(), nil
 }
 
-// --- the chain: direct (planner-off) execution ---
+// --- the chain: direct (as-written) execution ---
 
-// chain is the direct executor: the historical eager Query execution,
-// one operation at a time. The first vectorizable operation decodes
-// the state into a ColumnBlock and subsequent operations run over
-// column vectors; tables whose values cannot be decoded into uniform
-// columns fall back to the row operators — both paths produce
-// byte-identical results (golden_test.go). The planner-off path runs
-// entirely here, and the planned path hands its region output to a
-// chain for the remaining operations, so every query ends in this
-// executor.
+// chain is the direct executor: it applies the recorded operations one
+// at a time to a column block. The planner-off path runs entirely
+// here, and the planned path hands its region output to a chain for
+// the remaining operations, so every query ends in this executor.
 type chain struct {
-	t     *Table       // row form; nil when b carries the state
-	b     *ColumnBlock // columnar form; nil when t carries the state
-	sc    *Scratch     // shared per-execution operator scratch
-	noCol bool         // latched: table failed columnar decode, stay on rows
+	b  *ColumnBlock // the current state
+	sc *Scratch     // shared per-execution operator scratch
 
 	// budget and spillDir are the execution's resolved spill policy,
 	// applied by the hash join and group-by operators (0 = never
@@ -740,194 +709,67 @@ type chain struct {
 	prov *provState
 }
 
-// table returns the row form of the current state, materializing the
-// block if needed.
-func (c *chain) table() *Table {
-	if c.t != nil {
-		return c.t
+// setSource installs the scanned source relation as the chain's state,
+// annotating it as the provenance leaf relation when recording
+// provenance.
+func (c *chain) setSource(b *ColumnBlock) {
+	if c.prov != nil {
+		b = c.prov.annotateBlock(b)
 	}
-	return c.b.ToTable()
-}
-
-// block returns the columnar form of the current state, decoding the
-// table on first use, or nil when the data cannot be decoded (the
-// caller then uses the row path). Decode failure is latched so a chain
-// of operations on an undecodable table converts at most once.
-func (c *chain) block() *ColumnBlock {
-	if c.b != nil {
-		return c.b
-	}
-	if c.noCol || c.t == nil {
-		return nil
-	}
-	b, err := FromTable(c.t)
-	if err != nil {
-		// Silent before the observability layer: latching to the row
-		// path is correct (both paths agree bit-for-bit) but slow, so
-		// count and log it (metrics.go).
-		noteColFallback(err)
-		c.noCol = true
-		return nil
-	}
-	colQueries.Add(1)
 	c.b = b
-	return b
 }
-
-func (c *chain) setBlock(b *ColumnBlock) { c.t, c.b = nil, b }
-func (c *chain) setTable(t *Table)       { c.t, c.b = t, nil }
 
 // apply executes one recorded operation against the current state.
 func (c *chain) apply(op *qop, q *Query) error {
 	if c.prov != nil {
-		if handled, err := c.applyProv(op, q); handled {
+		if handled, err := c.applyProv(op); handled {
 			return err
 		}
 	}
+	b := c.b
+	var err error
 	switch op.kind {
-	case opWhereRow:
-		c.setTable(Select(c.table(), op.pred))
-		return nil
-
 	case opFilter:
-		if b := c.block(); b != nil {
-			nb, err := c.filterBlock(b, op, q)
-			if err != nil {
-				return err
-			}
-			c.setBlock(nb)
-			return nil
-		}
-		t := c.table()
-		pred, err := compileExprRow(op.expr, t.Schema, q)
-		if err != nil {
-			return err
-		}
-		c.setTable(Select(t, pred))
-		return nil
-
+		b, err = c.filterBlock(b, op, q)
 	case opSelect:
-		if b := c.block(); b != nil {
-			nb, err := b.Project(op.cols...)
-			if err != nil {
-				return err
-			}
-			c.setBlock(nb)
-			return nil
-		}
-		t, err := Project(c.table(), op.cols...)
-		if err != nil {
-			return err
-		}
-		c.setTable(t)
-		return nil
-
+		b, err = b.Project(op.cols...)
 	case opRename:
-		if b := c.block(); b != nil {
-			nb, err := b.Rename(op.oldName, op.newName)
-			if err != nil {
-				return err
-			}
-			c.setBlock(nb)
-			return nil
-		}
-		t, err := Rename(c.table(), op.oldName, op.newName)
-		if err != nil {
-			return err
-		}
-		c.setTable(t)
-		return nil
-
+		b, err = b.Rename(op.oldName, op.newName)
 	case opJoin:
 		// The join's output names are overwritten with the eagerly
 		// computed schema: a no-op for the default (both-sides-prefixed)
 		// naming, and the mechanism that implements flat SQL naming.
-		// Column order is left++right on both physical paths, so the
-		// overwrite is positionally safe.
-		if b := c.block(); b != nil {
-			if ob, err := FromTable(op.joinT); err == nil {
-				nb, err := b.equiJoinBudget(ob, op.joinL, op.joinR, c.sc, c.budget, c.spillDir)
-				if err != nil {
-					return err
-				}
-				nb.Name = op.name
-				nb.Schema = op.schema.Clone()
-				c.setBlock(nb)
-				return nil
+		// Column order is left++right, so the overwrite is positionally
+		// safe.
+		var r *ColumnBlock
+		if r, err = scan(op.joinT); err == nil {
+			if b, err = b.equiJoinBudget(r, op.joinL, op.joinR, c.sc, c.budget, c.spillDir); err == nil {
+				b.Name = op.name
+				b.Schema = op.schema.Clone()
 			}
 		}
-		t, err := EquiJoin(c.table(), op.joinT, op.joinL, op.joinR)
-		if err != nil {
-			return err
-		}
-		t.Name = op.name
-		t.Schema = op.schema.Clone()
-		c.setTable(t)
-		return nil
-
 	case opGroupBy:
-		if b := c.block(); b != nil {
-			t, err := b.groupByBudget(op.cols, op.aggs, c.sc, c.budget, c.spillDir)
-			if err != nil {
-				return err
-			}
-			c.setTable(t)
-			return nil
-		}
-		t, err := GroupBy(c.table(), op.cols, op.aggs)
-		if err != nil {
-			return err
-		}
-		c.setTable(t)
-		return nil
-
+		b, err = b.groupByBudget(op.cols, op.aggs, c.sc, c.budget, c.spillDir)
 	case opOrderBy:
-		if b := c.block(); b != nil {
-			nb, err := b.OrderBy(op.col, op.desc)
-			if err != nil {
-				return err
-			}
-			c.setBlock(nb)
-			return nil
-		}
-		t, err := OrderBy(c.table(), op.col, op.desc)
-		if err != nil {
-			return err
-		}
-		c.setTable(t)
-		return nil
-
+		b, err = b.OrderBy(op.col, op.desc)
 	case opDistinct:
-		if b := c.block(); b != nil {
-			c.setBlock(b.Distinct(c.sc))
-			return nil
-		}
-		c.setTable(Distinct(c.table()))
-		return nil
-
+		b = b.Distinct(c.sc)
 	case opLimit:
-		if b := c.block(); b != nil {
-			c.setBlock(b.Limit(op.n))
-			return nil
-		}
-		c.setTable(Limit(c.table(), op.n))
-		return nil
-
-	case opExtend:
-		t, err := Extend(c.table(), op.extName, op.extType, op.extFn)
-		if err != nil {
-			return err
-		}
-		c.setTable(t)
-		return nil
+		b = b.Limit(op.n)
+	default:
+		return fmt.Errorf("engine: unknown query op %d", op.kind)
 	}
-	return fmt.Errorf("engine: unknown query op %d", op.kind)
+	if err != nil {
+		return err
+	}
+	c.b = b
+	return nil
 }
 
-// filterBlock applies an opFilter on the columnar path, using the
-// typed single-column operators where the expression shape permits
-// (the historical WhereEq/WhereFloat/WhereString fast paths) and the
-// generic compiled predicate otherwise.
+// filterBlock applies an opFilter, using the typed single-column
+// operators where the expression shape permits (the WhereEq/
+// WhereFloat/WhereString fast paths) and the generic compiled
+// predicate otherwise.
 func (c *chain) filterBlock(b *ColumnBlock, op *qop, q *Query) (*ColumnBlock, error) {
 	switch e := op.expr.(type) {
 	case plan.Cmp:

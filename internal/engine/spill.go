@@ -291,7 +291,7 @@ func spillJoinIdx(l, r *ColumnBlock, li, ri int, buildLeft bool, sc *Scratch, bu
 // key maps to exactly one partition — merge in global first-appearance
 // order. Keyless group-bys never take this path (one global group
 // needs no hash table).
-func (b *ColumnBlock) spillGroupBy(keys []string, aggs []Aggregate, keyIdx, aggIdx []int, sc *Scratch, budget int64, dir string) (*Table, error) {
+func (b *ColumnBlock) spillGroupBy(name string, schema Schema, keyIdx, aggIdx []int, aggs []Aggregate, sc *Scratch, budget int64, dir string) (*ColumnBlock, error) {
 	tmp, err := spillTempDir(dir)
 	if err != nil {
 		return nil, err
@@ -325,11 +325,12 @@ func (b *ColumnBlock) spillGroupBy(keys []string, aggs []Aggregate, keyIdx, aggI
 	spillPartitions.Add(int64(P))
 	spillBytes.Add(parts.bytes)
 
-	type partialGroup struct {
-		first int32 // global logical index of the group's first row
-		row   Row
-	}
-	var groups []partialGroup
+	// Each partition's groups are complete (a key maps to exactly one
+	// partition); first[k] is the global logical index of the k-th
+	// partial group's first row, by which the groups merge back into
+	// global first-appearance order.
+	var partials []*ColumnBlock
+	var first []int32
 	for p := 0; p < P; p++ {
 		logical, err := parts.readIndexes(p)
 		if err != nil {
@@ -345,36 +346,34 @@ func (b *ColumnBlock) spillGroupBy(keys []string, aggs []Aggregate, keyIdx, aggI
 		sub := b.withSel(physSel)
 		gids, firstP := sub.groupIDs(keyIdx, sc)
 		nG := len(firstP)
-		rows := sub.aggregateGroups(keyIdx, aggIdx, aggs, gids, firstP, nG, false)
+		partials = append(partials, &ColumnBlock{
+			Name: name, Schema: schema, nrows: nG,
+			cols: sub.aggregateGroups(keyIdx, aggIdx, aggs, gids, firstP, nG),
+		})
 		// Group ids are assigned in first-appearance order, so the first
 		// occurrence of id g in gids is group g's first row; partition
 		// scan order preserves global logical order.
-		firstGlobal := make([]int32, nG)
 		next := 0
 		for k, g := range gids {
 			if int(g) == next {
-				firstGlobal[next] = logical[k]
+				first = append(first, logical[k])
 				next++
 				if next == nG {
 					break
 				}
 			}
 		}
-		for g := 0; g < nG; g++ {
-			groups = append(groups, partialGroup{first: firstGlobal[g], row: rows[g]})
-		}
 	}
-	sort.Slice(groups, func(x, y int) bool { return groups[x].first < groups[y].first })
-
-	out, err := NewTable(b.Name+"_group", groupSchema(b, keys, keyIdx, aggs, aggIdx))
+	out, err := concatBlocks(name, schema, partials)
 	if err != nil {
 		return nil, err
 	}
-	out.Rows = make([]Row, len(groups))
-	for i, g := range groups {
-		out.Rows[i] = g.row
+	order := make([]int32, len(first))
+	for i := range order {
+		order[i] = int32(i)
 	}
-	return out, nil
+	sort.Slice(order, func(x, y int) bool { return first[order[x]] < first[order[y]] })
+	return out.withSel(order), nil
 }
 
 // growIdx resizes a scratch index buffer to length n, reusing capacity.

@@ -5,7 +5,7 @@ package obs
 // snapshot is deterministic (sorted by name) so run reports and golden
 // tests can compare them byte-for-byte. Metric names follow the
 // <layer>.<noun>[_<unit>] scheme documented in DESIGN.md §8, e.g.
-// "engine.colfallback", "task.backoff_ns", "mapreduce.shuffle_bytes".
+// "engine.rows_scanned", "task.backoff_ns", "mapreduce.shuffle_bytes".
 
 import (
 	"fmt"

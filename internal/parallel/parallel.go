@@ -51,11 +51,11 @@ type Options struct {
 	// Retry overrides the context retry policy (WithRetryPolicy) for
 	// this loop. Nil inherits from the context.
 	Retry *RetryPolicy
-	// NoFaults opts this loop out of the fault-tolerance machinery
-	// entirely — no injection, no panic recovery, no retries — for
-	// loops whose iterations mutate shared state in place and therefore
-	// cannot be re-run (e.g. DSGD row updates). Such loops keep the
-	// pre-fault-tolerance semantics: a panic propagates and crashes.
+	// NoFaults opts this loop out of the fault-tolerance machinery —
+	// no injection, no retries — for loops whose iterations mutate
+	// shared state in place and therefore cannot be re-run (e.g. DSGD
+	// row updates). A panic in such a loop still comes back as an
+	// error, like on every loop without a retry policy.
 	NoFaults bool
 }
 
@@ -71,6 +71,10 @@ type errBox struct{ err error }
 // iterations. Progress and Stats hooks installed on ctx are serviced
 // after each completed iteration.
 //
+// A panic in fn never escapes For: it stops the loop and returns as an
+// error naming the iteration, so a faulty model function fails its
+// request instead of the process.
+//
 // When a retry policy (Options.Retry or WithRetryPolicy) or a fault
 // injector (WithFaultInjector) is present and Options.NoFaults is
 // unset, each iteration becomes a fault-tolerant task: a panic is
@@ -83,7 +87,7 @@ type errBox struct{ err error }
 // here — slot writes are owned by one worker at a time — only in the
 // MapReduce runtime, whose framework-controlled commit makes backup
 // attempts race-free.
-func For(ctx context.Context, n int, opts Options, fn func(i int) error) error {
+func For(ctx context.Context, n int, opts Options, fn func(i int) error) (err error) {
 	if n <= 0 {
 		return nil
 	}
@@ -139,7 +143,13 @@ func For(ctx context.Context, n int, opts Options, fn func(i int) error) error {
 	}
 
 	if workers == 1 {
-		for i := 0; i < n; i++ {
+		i := 0
+		defer func() {
+			if r := recover(); r != nil {
+				err = panicError(i, r)
+			}
+		}()
+		for ; i < n; i++ {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
@@ -158,7 +168,7 @@ func For(ctx context.Context, n int, opts Options, fn func(i int) error) error {
 	defer cancel()
 	var (
 		next     atomic.Int64
-		done     atomic.Int64
+		done     int // completions, guarded by progress's lock
 		firstErr atomic.Value
 		wg       sync.WaitGroup
 	)
@@ -166,11 +176,18 @@ func For(ctx context.Context, n int, opts Options, fn func(i int) error) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			i := 0
+			defer func() {
+				if r := recover(); r != nil {
+					firstErr.CompareAndSwap(nil, errBox{panicError(i, r)})
+					cancel()
+				}
+			}()
 			for {
 				if loopCtx.Err() != nil {
 					return
 				}
-				i := int(next.Add(1)) - 1
+				i = int(next.Add(1)) - 1
 				if i >= n {
 					return
 				}
@@ -179,10 +196,9 @@ func For(ctx context.Context, n int, opts Options, fn func(i int) error) error {
 					cancel()
 					return
 				}
-				d := done.Add(1)
 				stats.AddIterations(1)
 				if progress != nil {
-					progress.report(int(d), n)
+					progress.reportNext(&done, n)
 				}
 			}
 		}()
@@ -192,6 +208,14 @@ func For(ctx context.Context, n int, opts Options, fn func(i int) error) error {
 		return box.err
 	}
 	return ctx.Err()
+}
+
+// panicError describes a panic recovered from iteration i.
+func panicError(i int, r any) error {
+	if e, ok := r.(error); ok {
+		return fmt.Errorf("parallel[%d] panicked: %w", i, e)
+	}
+	return fmt.Errorf("parallel[%d] panicked: %v", i, r)
 }
 
 // ForStreams runs fn(i, streams[i]) for every i in [0, n), where the
@@ -272,6 +296,16 @@ type progressHook struct {
 func (p *progressHook) report(done, total int) {
 	p.mu.Lock()
 	p.fn(done, total)
+	p.mu.Unlock()
+}
+
+// reportNext counts one more completion of a parallel loop and reports
+// it. Counting under the lock keeps the reported counts increasing when
+// workers finish out of order.
+func (p *progressHook) reportNext(done *int, total int) {
+	p.mu.Lock()
+	*done++
+	p.fn(*done, total)
 	p.mu.Unlock()
 }
 

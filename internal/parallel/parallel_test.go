@@ -3,6 +3,7 @@ package parallel
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -49,6 +50,36 @@ func TestForPropagatesFirstError(t *testing.T) {
 		})
 		if !errors.Is(err, boom) {
 			t.Fatalf("workers=%d: got %v", workers, err)
+		}
+	}
+}
+
+// TestForRecoversPanics: without a retry policy a panicking iteration
+// still comes back as an error naming it, at any worker count, instead
+// of crashing the process (a worker goroutine's panic cannot be
+// recovered by the caller).
+func TestForRecoversPanics(t *testing.T) {
+	boom := errors.New("model bug")
+	for _, workers := range []int{1, 4} {
+		for _, opts := range []Options{{Workers: workers}, {Workers: workers, NoFaults: true}} {
+			err := For(context.Background(), 50, opts, func(i int) error {
+				if i == 17 {
+					panic(boom)
+				}
+				return nil
+			})
+			if !errors.Is(err, boom) || !strings.Contains(err.Error(), "parallel[17]") {
+				t.Fatalf("workers=%d nofaults=%v: got %v", workers, opts.NoFaults, err)
+			}
+		}
+		err := For(context.Background(), 8, Options{Workers: workers}, func(i int) error {
+			if i == 3 {
+				panic("not an error")
+			}
+			return nil
+		})
+		if err == nil || !strings.Contains(err.Error(), "parallel[3] panicked: not an error") {
+			t.Fatalf("workers=%d: non-error panic gave %v", workers, err)
 		}
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"modeldata/internal/engine"
@@ -599,5 +600,52 @@ func TestTenantCapBoundsMaterialization(t *testing.T) {
 	}
 	if got := s.Stats().Registry().Gauge(MetricTenants).Value(); got != 3 {
 		t.Fatalf("tenants gauge = %d, want 3", got)
+	}
+}
+
+// TestPanickingVGIsA500: a tenant's model code that panics fails only
+// its own request. The panic surfaces from the realization loop as an
+// error (HTTP 500), the process survives, and once the model stops
+// panicking the tenant's next query answers normally — no admission
+// slot or session state is left behind.
+func TestPanickingVGIsA500(t *testing.T) {
+	var broken atomic.Bool
+	_, ts := newTestServer(t, Config{Open: func(string) (*mcdb.DB, error) {
+		db, err := experiments.SBPDatabase(4)
+		if err != nil {
+			return nil, err
+		}
+		err = db.AddSpec(&mcdb.TableSpec{
+			Name: "flaky",
+			Schema: engine.Schema{
+				{Name: "pid", Type: engine.TypeInt},
+				{Name: "gender", Type: engine.TypeString},
+				{Name: "x", Type: engine.TypeFloat},
+			},
+			ForEach: "patients",
+			Params: func(*engine.Database, engine.Row) (engine.Row, error) {
+				return nil, nil
+			},
+			VG: func(_ engine.Row, r *rng.Stream) ([]engine.Value, error) {
+				if broken.Load() {
+					panic("model bug")
+				}
+				return []engine.Value{engine.Float(r.Float64())}, nil
+			},
+			UncertainCols: []int{2},
+		})
+		return db, err
+	}})
+	for _, workers := range []int{1, 4} {
+		req := QueryRequest{Tenant: "acme", Table: "flaky", Col: "x", Fn: "avg",
+			Iterations: 20, Seed: uint64(workers), Workers: workers}
+		broken.Store(true)
+		if out, resp := post[QueryResponse](t, ts.URL+"/v1/query", req); out != nil || resp.StatusCode != http.StatusInternalServerError {
+			t.Fatalf("workers=%d: panicking VG answered %d, want 500", workers, resp.StatusCode)
+		}
+		broken.Store(false)
+		if out, resp := post[QueryResponse](t, ts.URL+"/v1/query", req); out == nil {
+			t.Fatalf("workers=%d: next query answered %d, want 200", workers, resp.StatusCode)
+		}
 	}
 }

@@ -41,7 +41,6 @@ type Stats struct {
 	// Runs in one process see each other's engine activity here.
 	RowsScanned        int64
 	ColumnarQueries    int64
-	ColumnarFallbacks  int64
 	RealizeCacheHits   int64
 	RealizeCacheMisses int64
 
@@ -58,7 +57,7 @@ func (s Stats) Report() string {
 	fmt.Fprintf(&b, "  elapsed          %s\n", s.Elapsed.Round(time.Millisecond))
 	fmt.Fprintf(&b, "  iterations       %d (%.4g/s)\n", s.Iterations, s.SamplesPerSec)
 	fmt.Fprintf(&b, "  rows scanned     %d\n", s.RowsScanned)
-	fmt.Fprintf(&b, "  columnar path    %d queries, %d fallbacks to rows\n", s.ColumnarQueries, s.ColumnarFallbacks)
+	fmt.Fprintf(&b, "  engine queries   %d\n", s.ColumnarQueries)
 	fmt.Fprintf(&b, "  realize cache    %d hits, %d misses\n", s.RealizeCacheHits, s.RealizeCacheMisses)
 	fmt.Fprintf(&b, "  shuffle          %d bytes\n", s.ShuffleBytes)
 	fmt.Fprintf(&b, "  task attempts    %d (%d retries, backoff %s)\n",
@@ -214,7 +213,6 @@ func Run(ctx context.Context, id string, opts ...Option) (ExperimentResult, erro
 			SamplesPerSec:       snap.SamplesPerSec,
 			RowsScanned:         delta.Counters[engine.MetricRowsScanned],
 			ColumnarQueries:     delta.Counters[engine.MetricColQueries],
-			ColumnarFallbacks:   delta.Counters[engine.MetricColFallback],
 			RealizeCacheHits:    run.Counters[mcdb.MetricRealizeCacheHits],
 			RealizeCacheMisses:  run.Counters[mcdb.MetricRealizeCacheMisses],
 			Metrics:             run.Merge(delta),

@@ -63,6 +63,7 @@ func main() {
 			return p.Rows[0], nil
 		},
 		VG:            mcdb.NormalVG(),
+		Batch:         mcdb.NormalBatch(),
 		UncertainCols: []int{2},
 	})
 	if err != nil {

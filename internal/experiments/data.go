@@ -85,6 +85,7 @@ func SBPDatabase(nPatients int) (*mcdb.DB, error) {
 			}, nil
 		},
 		VG:            mcdb.NormalVG(),
+		Batch:         mcdb.NormalBatch(),
 		UncertainCols: []int{2},
 	})
 	if err != nil {

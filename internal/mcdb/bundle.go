@@ -100,56 +100,148 @@ func (db *DB) bundleSpec(ctx context.Context, spec *TableSpec, iters int, r *rng
 		Det:           make([]engine.Row, len(outers)),
 		Unc:           make([][][]float64, len(outers)),
 	}
+	k := db.newKernel(spec, iters, nil, nil)
 	err = parallel.ForStreams(ctx, r, len(outers), parallel.Options{Workers: workers},
 		func(ti int, tr *rng.Stream) error {
-			outer := outers[ti]
-			// Parameter query runs once per tuple (not per iteration).
-			params, err := db.vgParams(spec, outer)
+			det, unc, err := k.bundleTuple(outers[ti], tr)
 			if err != nil {
 				return err
 			}
-			unc := make([][]float64, len(spec.UncertainCols))
-			for k := range unc {
-				unc[k] = make([]float64, iters)
-			}
-			var det engine.Row
-			for it := 0; it < iters; it++ {
-				vgOut, err := spec.VG(params, tr)
-				if err != nil {
-					return err
-				}
-				var row engine.Row
-				if spec.OutputRow != nil {
-					row = spec.OutputRow(outer, vgOut)
-				} else {
-					row = append(append(engine.Row{}, outer...), vgOut...)
-				}
-				if len(row) != len(spec.Schema) {
-					return fmt.Errorf("%w: %q produced %d values, schema has %d",
-						ErrBadSpec, spec.Name, len(row), len(spec.Schema))
-				}
-				if it == 0 {
-					det = row.Clone()
-					for _, c := range spec.UncertainCols {
-						det[c] = engine.Value{}
-					}
-				}
-				for k, c := range spec.UncertainCols {
-					if !row[c].IsNumeric() {
-						return fmt.Errorf("%w: %q uncertain column %d is %s, bundles require numeric",
-							ErrBadSpec, spec.Name, c, row[c].Type())
-					}
-					unc[k][it] = row[c].AsFloat()
-				}
-			}
-			bt.Det[ti] = det
-			bt.Unc[ti] = unc
+			bt.Det[ti], bt.Unc[ti] = det, unc
 			return nil
 		})
 	if err != nil {
 		return nil, err
 	}
 	return bt, nil
+}
+
+// tupleKernel realizes single tuples of one spec as bundles. Everything
+// that does not vary by tuple is resolved once, when it is built.
+type tupleKernel struct {
+	db     *DB
+	spec   *TableSpec
+	iters  int
+	params func(db *engine.Database, outer engine.Row) (engine.Row, error)
+	// Exactly one of batch and vg is set: the spec's Batch when it has
+	// one and no replacement VG was given, else the VG to adapt.
+	batch BatchVG
+	vg    VG
+}
+
+// newKernel builds the kernel for spec. A non-nil vg or params replaces
+// the spec's own (a what-if Delta); a replacement VG has no batch form,
+// so it always runs through the legacy adapter.
+func (db *DB) newKernel(spec *TableSpec, iters int, vg VG, params func(*engine.Database, engine.Row) (engine.Row, error)) *tupleKernel {
+	k := &tupleKernel{db: db, spec: spec, iters: iters, params: spec.Params, vg: vg}
+	if params != nil {
+		k.params = params
+	}
+	if vg == nil {
+		if spec.Batch != nil {
+			k.batch = spec.Batch
+		} else {
+			k.vg = spec.VG
+		}
+	}
+	return k
+}
+
+// newUnc allocates a tuple's uncertain arrays: one flat backing array
+// cut into per-column slices whose capacity ends at the column, so an
+// append to one column can never overwrite the next.
+func newUnc(cols, iters int) [][]float64 {
+	flat := make([]float64, cols*iters)
+	unc := make([][]float64, cols)
+	for k := range unc {
+		unc[k] = flat[k*iters : (k+1)*iters : (k+1)*iters]
+	}
+	return unc
+}
+
+// bundleTuple is the per-tuple bundle kernel shared by full realization
+// (bundleSpec) and what-if re-realization (rerealize): it resolves the
+// parameter row once, then fills the tuple's uncertain values for every
+// iteration from its substream r. It returns the tuple's deterministic
+// row (uncertain positions hold zero Values) and its Unc arrays.
+func (k *tupleKernel) bundleTuple(outer engine.Row, r *rng.Stream) (engine.Row, [][]float64, error) {
+	params, err := k.db.vgParams(k.params, outer)
+	if err != nil {
+		return nil, nil, err
+	}
+	spec := k.spec
+	unc := newUnc(len(spec.UncertainCols), k.iters)
+	if k.batch == nil {
+		det, err := k.adaptVG(outer, params, r, unc)
+		return det, unc, err
+	}
+	// validate guarantees the uncertain columns are the trailing ones,
+	// so the batch fills exactly what a VG would append to outer.
+	if len(outer)+len(unc) != len(spec.Schema) {
+		return nil, nil, fmt.Errorf("%w: %q produced %d values, schema has %d",
+			ErrBadSpec, spec.Name, len(outer)+len(unc), len(spec.Schema))
+	}
+	if err = k.batch(params, r, unc); err != nil {
+		return nil, nil, err
+	}
+	det := make(engine.Row, len(spec.Schema))
+	copy(det, outer)
+	return det, unc, nil
+}
+
+// adaptVG is the one adapter from a row-at-a-time VG function to the
+// bundle layout: it calls vg once per iteration and keeps the
+// uncertain values as floats. With a nil OutputRow it reads each
+// uncertain value by position from outer or the VG output and builds
+// no row, so the VG's own result is its only allocation per iteration.
+// The deterministic row comes from iteration 0.
+func (k *tupleKernel) adaptVG(outer, params engine.Row, r *rng.Stream, unc [][]float64) (engine.Row, error) {
+	spec := k.spec
+	var det engine.Row
+	for it := 0; it < k.iters; it++ {
+		vgOut, err := k.vg(params, r)
+		if err != nil {
+			return nil, err
+		}
+		var row engine.Row
+		width := len(outer) + len(vgOut)
+		if spec.OutputRow != nil {
+			row = spec.OutputRow(outer, vgOut)
+			width = len(row)
+		}
+		if width != len(spec.Schema) {
+			return nil, fmt.Errorf("%w: %q produced %d values, schema has %d",
+				ErrBadSpec, spec.Name, width, len(spec.Schema))
+		}
+		if it == 0 {
+			if row != nil {
+				det = row.Clone()
+			} else {
+				det = make(engine.Row, 0, width)
+				det = append(append(det, outer...), vgOut...)
+			}
+			for _, c := range spec.UncertainCols {
+				det[c] = engine.Value{}
+			}
+		}
+		for kk, c := range spec.UncertainCols {
+			var v engine.Value
+			switch {
+			case row != nil:
+				v = row[c]
+			case c < len(outer):
+				v = outer[c]
+			default:
+				v = vgOut[c-len(outer)]
+			}
+			if !v.IsNumeric() {
+				return nil, fmt.Errorf("%w: %q uncertain column %d is %s, bundles require numeric",
+					ErrBadSpec, spec.Name, c, v.Type())
+			}
+			unc[kk][it] = v.AsFloat()
+		}
+	}
+	return det, nil
 }
 
 // Len returns the number of tuples in the bundle table.
@@ -236,19 +328,18 @@ func (bt *BundleTable) Estimate(col string, fn engine.AggFunc, pred UncPredicate
 
 // Realize materializes the bundle table at a single Monte Carlo
 // iteration as an ordinary engine table — useful for spot checks and
-// for queries that the bundle executor does not cover. It runs on the
-// columnar path — the deterministic columns decode once per bundle
-// table, each iteration only swaps in fresh uncertain vectors — and
-// falls back to row-at-a-time assembly for bundles whose Det rows the
-// columnar layout cannot represent; both paths produce identical
-// tables.
+// for queries that the bundle executor does not cover. It is
+// RealizeBlock converted to rows: the deterministic columns decode once
+// per bundle table and each iteration only swaps in fresh uncertain
+// vectors. A Det value its schema column cannot hold (engine.Table's
+// insert rule: the exact type, or an int in a float column) makes it
+// return engine.ErrMixedColumn.
 func (bt *BundleTable) Realize(iter int) (*engine.Table, error) {
-	if b, err := bt.RealizeBlock(iter); err == nil {
-		return b.ToTable(), nil
-	} else if iter < 0 || iter >= bt.Iters {
+	b, err := bt.RealizeBlock(iter)
+	if err != nil {
 		return nil, err
 	}
-	return bt.realizeRows(iter)
+	return b.ToTable(), nil
 }
 
 // cachedDetBlock decodes the deterministic columns of Det into a
@@ -294,30 +385,6 @@ func (bt *BundleTable) RealizeBlock(iter int) (*engine.ColumnBlock, error) {
 		}
 	}
 	return b, nil
-}
-
-// realizeRows is the row-at-a-time fallback for Realize, kept for
-// bundles whose Det rows hold values that do not match the schema types
-// exactly (Insert re-validates and widens them).
-func (bt *BundleTable) realizeRows(iter int) (*engine.Table, error) {
-	out, err := engine.NewTable(bt.Name, bt.Schema)
-	if err != nil {
-		return nil, err
-	}
-	for i, det := range bt.Det {
-		row := det.Clone()
-		for k, c := range bt.UncertainCols {
-			if bt.Schema[c].Type == engine.TypeInt {
-				row[c] = engine.Int(int64(bt.Unc[i][k][iter]))
-			} else {
-				row[c] = engine.Float(bt.Unc[i][k][iter])
-			}
-		}
-		if err := out.Insert(row); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }
 
 // JoinDet equijoins the bundle table with a deterministic table on a

@@ -215,9 +215,9 @@ func (s *Session) rerealize(ctx context.Context, spec *TableSpec, old *BundleTab
 		uncBuf := make([]float64, len(nb.UncertainCols))
 		for _, ti := range affected {
 			src := old.Unc[ti]
-			unc := make([][]float64, len(src))
+			unc := newUnc(len(src), nb.Iters)
 			for k := range src {
-				unc[k] = append([]float64(nil), src[k]...)
+				copy(unc[k], src[k])
 			}
 			for it := 0; it < nb.Iters; it++ {
 				for k := range uncBuf {
@@ -232,12 +232,13 @@ func (s *Session) rerealize(ctx context.Context, spec *TableSpec, old *BundleTab
 		}
 		return nb, detChanged, nil
 	}
-	// VG or Params changed: re-sample the affected tuples on the exact
-	// substreams the full realization derives — seed → one Split per
-	// spec in registration order (InstantiateBundledCtx) → one SplitN
-	// child per tuple in tuple order (parallel.ForStreams inside
-	// bundleSpec) — so the merged bundle is bit-identical to realizing
-	// the changed database from scratch.
+	// VG or Params changed: re-sample the affected tuples with the same
+	// kernel on the exact substreams the full realization derives —
+	// seed → one Split per spec in registration order
+	// (InstantiateBundledCtx) → one SplitN child per tuple in tuple
+	// order (parallel.ForStreams inside bundleSpec) — so the merged
+	// bundle is bit-identical to realizing the changed database from
+	// scratch.
 	outers, err := s.db.outerRows(spec)
 	if err != nil {
 		return nil, nil, err
@@ -251,60 +252,15 @@ func (s *Session) rerealize(ctx context.Context, spec *TableSpec, old *BundleTab
 		return nil, nil, fmt.Errorf("%w: %q", ErrNoSpec, spec.Name)
 	}
 	subs := st.SplitN(len(outers))
-	vg := spec.VG
-	if d.VG != nil {
-		vg = d.VG
-	}
+	k := s.db.newKernel(spec, nb.Iters, d.VG, d.Params)
 	err = parallel.For(ctx, len(affected), parallel.Options{Workers: opts.Workers}, func(j int) error {
 		ti := affected[j]
 		tr := *subs[ti] // pristine copy, as parallel.ForStreams hands bundleSpec
-		outer := outers[ti]
-		var params engine.Row
-		var err error
-		if d.Params != nil {
-			params, err = d.Params(s.db.Base, outer)
-		} else {
-			params, err = s.db.vgParams(spec, outer)
-		}
+		det, unc, err := k.bundleTuple(outers[ti], &tr)
 		if err != nil {
 			return err
 		}
-		unc := make([][]float64, len(spec.UncertainCols))
-		for k := range unc {
-			unc[k] = make([]float64, nb.Iters)
-		}
-		var det engine.Row
-		for it := 0; it < nb.Iters; it++ {
-			vgOut, err := vg(params, &tr)
-			if err != nil {
-				return err
-			}
-			var row engine.Row
-			if spec.OutputRow != nil {
-				row = spec.OutputRow(outer, vgOut)
-			} else {
-				row = append(append(engine.Row{}, outer...), vgOut...)
-			}
-			if len(row) != len(spec.Schema) {
-				return fmt.Errorf("%w: %q produced %d values, schema has %d",
-					ErrBadSpec, spec.Name, len(row), len(spec.Schema))
-			}
-			if it == 0 {
-				det = row.Clone()
-				for _, c := range spec.UncertainCols {
-					det[c] = engine.Value{}
-				}
-			}
-			for k, c := range spec.UncertainCols {
-				if !row[c].IsNumeric() {
-					return fmt.Errorf("%w: %q uncertain column %d is %s, bundles require numeric",
-						ErrBadSpec, spec.Name, c, row[c].Type())
-				}
-				unc[k][it] = row[c].AsFloat()
-			}
-		}
-		nb.Det[ti] = det
-		nb.Unc[ti] = unc
+		nb.Det[ti], nb.Unc[ti] = det, unc
 		detChanged[j] = !rowsEqual(det, old.Det[ti])
 		return nil
 	})

@@ -39,6 +39,17 @@ var (
 // (see the library in vg.go).
 type VG func(params engine.Row, r *rng.Stream) ([]engine.Value, error)
 
+// BatchVG is the batch form of a VG function for tuple-bundle
+// execution: given one tuple's parameter row, it fills out[k][it] with
+// the k-th uncertain value of every Monte Carlo iteration it of out[k],
+// drawing from r in iteration order. Parameter decoding and any other
+// per-tuple work happen once instead of once per iteration, and no
+// per-draw Value slice is built. A BatchVG must draw exactly what its
+// VG twin would across len(out[k]) successive calls on the same
+// stream, so both forms realize bit-identical bundles (the library
+// pairs share one per-draw helper to guarantee it).
+type BatchVG func(params engine.Row, r *rng.Stream, out [][]float64) error
+
 // TableSpec declares one stochastic table, mirroring MCDB's
 // CREATE TABLE ... AS FOR EACH ... WITH ... syntax:
 //
@@ -60,6 +71,12 @@ type TableSpec struct {
 	Params func(db *engine.Database, outer engine.Row) (engine.Row, error)
 	// VG generates one realization of the uncertain values.
 	VG VG
+	// Batch, when set, is VG's batch form; tuple-bundle execution uses
+	// it instead of VG (the naive strategy always calls VG). It requires
+	// a nil OutputRow and UncertainCols naming the trailing schema
+	// columns in order, i.e. exactly the columns VG appends to the
+	// outer row.
+	Batch BatchVG
 	// OutputRow assembles a realized row from the outer tuple and the
 	// VG output (the final SELECT). A nil OutputRow appends the VG
 	// values to the outer row.
@@ -81,6 +98,18 @@ func (s *TableSpec) validate() error {
 	for _, c := range s.UncertainCols {
 		if c < 0 || c >= len(s.Schema) {
 			return fmt.Errorf("%w: uncertain column index %d out of range", ErrBadSpec, c)
+		}
+	}
+	if s.Batch != nil {
+		if s.OutputRow != nil {
+			return fmt.Errorf("%w: %q sets Batch with an OutputRow", ErrBadSpec, s.Name)
+		}
+		first := len(s.Schema) - len(s.UncertainCols)
+		for k, c := range s.UncertainCols {
+			if c != first+k {
+				return fmt.Errorf("%w: %q sets Batch, so UncertainCols must be the trailing columns %d..%d in order",
+					ErrBadSpec, s.Name, first, len(s.Schema)-1)
+			}
 		}
 	}
 	return nil
@@ -161,17 +190,18 @@ func (db *DB) outerRows(spec *TableSpec) ([]engine.Row, error) {
 	return t.Rows, nil
 }
 
-// vgParams resolves the parameter row for one outer tuple.
-func (db *DB) vgParams(spec *TableSpec, outer engine.Row) (engine.Row, error) {
-	if spec.Params == nil {
+// vgParams resolves the parameter row for one outer tuple through a
+// spec's (or a what-if's) parameter query; a nil query passes outer.
+func (db *DB) vgParams(params func(*engine.Database, engine.Row) (engine.Row, error), outer engine.Row) (engine.Row, error) {
+	if params == nil {
 		return outer, nil
 	}
-	return spec.Params(db.Base, outer)
+	return params(db.Base, outer)
 }
 
 // realizeTuple realizes one output row for one outer tuple.
 func (db *DB) realizeTuple(spec *TableSpec, outer engine.Row, r *rng.Stream) (engine.Row, error) {
-	params, err := db.vgParams(spec, outer)
+	params, err := db.vgParams(spec.Params, outer)
 	if err != nil {
 		return nil, err
 	}
@@ -248,13 +278,4 @@ func (db *DB) MonteCarlo(ctx context.Context, iters int, seed uint64, workers in
 		return nil, err
 	}
 	return out, nil
-}
-
-// MonteCarloNaive runs the query over iters independent database
-// instances on the calling goroutine's default worker pool.
-//
-// Deprecated: use MonteCarlo, which adds cancellation and worker
-// control. The two produce identical samples for the same seed.
-func (db *DB) MonteCarloNaive(iters int, seed uint64, q Query) ([]float64, error) {
-	return db.MonteCarlo(context.Background(), iters, seed, 0, q)
 }

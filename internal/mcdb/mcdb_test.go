@@ -93,7 +93,7 @@ func TestInstantiateSBP(t *testing.T) {
 
 func TestMonteCarloNaiveEstimatesMean(t *testing.T) {
 	db := sbpFixture(t, 20)
-	samples, err := db.MonteCarloNaive(400, 7, func(inst *engine.Database) (float64, error) {
+	samples, err := db.MonteCarlo(context.Background(), 400, 7, 0, func(inst *engine.Database) (float64, error) {
 		tbl, err := inst.Get("sbp_data")
 		if err != nil {
 			return 0, err
@@ -129,7 +129,7 @@ func TestBundledMatchesNaiveDistribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	naive, err := db.MonteCarloNaive(iters, 11, func(inst *engine.Database) (float64, error) {
+	naive, err := db.MonteCarlo(context.Background(), iters, 11, 0, func(inst *engine.Database) (float64, error) {
 		tbl, _ := inst.Get("sbp_data")
 		return engine.From(tbl).
 			GroupBy(nil, engine.Aggregate{Fn: engine.AggAvg, Col: "sbp", As: "m"}).
@@ -214,6 +214,18 @@ func TestBundleRealize(t *testing.T) {
 	if _, err := bt.Realize(99); err == nil {
 		t.Fatal("out-of-range iteration accepted")
 	}
+	// A Det value its column cannot hold is an error, not a silent
+	// conversion: a fresh table (its decode is not yet cached) with an
+	// int in the string-typed gender column.
+	bundles, err = db.InstantiateBundled(5, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := bundles["sbp_data"]
+	bad.Det[1][1] = engine.Int(7)
+	if _, err := bad.Realize(0); !errors.Is(err, engine.ErrMixedColumn) {
+		t.Fatalf("wrong-typed Det value: got %v, want ErrMixedColumn", err)
+	}
 }
 
 func TestSpecValidation(t *testing.T) {
@@ -261,7 +273,7 @@ func TestNoForEachSpecRunsOnce(t *testing.T) {
 
 func TestMonteCarloNaiveBadIters(t *testing.T) {
 	db := sbpFixture(t, 2)
-	if _, err := db.MonteCarloNaive(0, 1, nil); err == nil {
+	if _, err := db.MonteCarlo(context.Background(), 0, 1, 0, nil); err == nil {
 		t.Fatal("iters=0 accepted")
 	}
 	if _, err := db.InstantiateBundled(0, 1); err == nil {
@@ -354,6 +366,16 @@ func TestVGLibrary(t *testing.T) {
 			if _, err := vg(nil, r); !errors.Is(err, ErrBadSpec) {
 				t.Fatalf("missing params accepted: %v", err)
 			}
+		}
+		one := [][]float64{make([]float64, 4)}
+		for _, batch := range []BatchVG{NormalBatch(), PoissonBatch()} {
+			if err := batch(nil, r, one); !errors.Is(err, ErrBadSpec) {
+				t.Fatalf("batch accepted missing params: %v", err)
+			}
+		}
+		two := [][]float64{make([]float64, 4), make([]float64, 4)}
+		if err := DistBatch(rng.UniformDist{Lo: 0, Hi: 1})(nil, r, two); !errors.Is(err, ErrBadSpec) {
+			t.Fatalf("one-value batch filled two columns: %v", err)
 		}
 	})
 }

@@ -42,13 +42,12 @@ const DefaultBundleCacheCap = 8
 // realistic statement working set resident.
 const DefaultPreparedCacheCap = 64
 
-// This file unifies the two MCDB execution strategies behind one entry
-// point. Historically callers chose between MonteCarloNaive (arbitrary
-// query closure, full re-instantiation per iteration) and
-// InstantiateBundled + BundleTable.Estimate (plan-once tuple bundles)
-// — two divergent call paths with different query representations. A
-// Session executes one declarative AggQuery under either strategy, so
-// strategy choice becomes a knob rather than a rewrite.
+// This file puts the two MCDB execution strategies behind one entry
+// point. DB.MonteCarlo (an arbitrary query closure, full
+// re-instantiation per iteration) and InstantiateBundled +
+// BundleTable.Estimate (plan-once tuple bundles) take different query
+// representations; a Session executes one declarative AggQuery under
+// either strategy, so strategy choice is a knob rather than a rewrite.
 
 // Strategy selects how a Session executes a query.
 type Strategy int

@@ -14,37 +14,96 @@ import (
 // a forward price path for option valuation, and a Bayesian customer
 // demand generator.
 
+// scalarGen is a one-value generator written once and exposed in both
+// VG forms. decode turns the parameter row into the generator's
+// parameters; draw makes one draw. The VG form decodes and draws once
+// per call; the BatchVG form decodes once per tuple and then draws in
+// iteration order, storing draw(...).AsFloat() exactly as the bundle
+// adapter stores the VG form's value, so the two forms cannot drift.
+type scalarGen[P any] struct {
+	decode func(params engine.Row) (P, error)
+	draw   func(p P, r *rng.Stream) engine.Value
+}
+
+func (g scalarGen[P]) vg() VG {
+	return func(params engine.Row, r *rng.Stream) ([]engine.Value, error) {
+		p, err := g.decode(params)
+		if err != nil {
+			return nil, err
+		}
+		return []engine.Value{g.draw(p, r)}, nil
+	}
+}
+
+func (g scalarGen[P]) batch() BatchVG {
+	return func(params engine.Row, r *rng.Stream, out [][]float64) error {
+		if len(out) != 1 {
+			return fmt.Errorf("%w: a one-value VG cannot fill %d uncertain columns", ErrBadSpec, len(out))
+		}
+		p, err := g.decode(params)
+		if err != nil {
+			return err
+		}
+		col := out[0]
+		for it := range col {
+			col[it] = g.draw(p, r).AsFloat()
+		}
+		return nil
+	}
+}
+
+// normalGen draws Normal(params[0], params[1]).
+var normalGen = scalarGen[[2]float64]{
+	decode: func(params engine.Row) ([2]float64, error) {
+		if len(params) < 2 {
+			return [2]float64{}, fmt.Errorf("%w: Normal VG needs (mean, std), got %d params", ErrBadSpec, len(params))
+		}
+		return [2]float64{params[0].AsFloat(), params[1].AsFloat()}, nil
+	},
+	draw: func(p [2]float64, r *rng.Stream) engine.Value { return engine.Float(r.Normal(p[0], p[1])) },
+}
+
+// poissonGen draws Poisson(params[0]) as an integer.
+var poissonGen = scalarGen[float64]{
+	decode: func(params engine.Row) (float64, error) {
+		if len(params) < 1 {
+			return 0, fmt.Errorf("%w: Poisson VG needs (lambda)", ErrBadSpec)
+		}
+		return params[0].AsFloat(), nil
+	},
+	draw: func(lambda float64, r *rng.Stream) engine.Value { return engine.Int(int64(r.Poisson(lambda))) },
+}
+
+// distGen draws from a fixed rng.Dist, ignoring the parameter row.
+func distGen(d rng.Dist) scalarGen[rng.Dist] {
+	return scalarGen[rng.Dist]{
+		decode: func(engine.Row) (rng.Dist, error) { return d, nil },
+		draw:   func(d rng.Dist, r *rng.Stream) engine.Value { return engine.Float(d.Sample(r)) },
+	}
+}
+
 // NormalVG returns a VG function drawing one value from
 // Normal(params[0], params[1]) — MCDB's Normal VG function used by the
 // SBP_DATA example. The parameter row must carry (mean, std).
-func NormalVG() VG {
-	return func(params engine.Row, r *rng.Stream) ([]engine.Value, error) {
-		if len(params) < 2 {
-			return nil, fmt.Errorf("%w: Normal VG needs (mean, std), got %d params", ErrBadSpec, len(params))
-		}
-		mean, std := params[0].AsFloat(), params[1].AsFloat()
-		return []engine.Value{engine.Float(r.Normal(mean, std))}, nil
-	}
-}
+func NormalVG() VG { return normalGen.vg() }
+
+// NormalBatch is NormalVG's batch form: the parameters decode once per
+// tuple and the draws match NormalVG's bit for bit.
+func NormalBatch() BatchVG { return normalGen.batch() }
 
 // PoissonVG returns a VG function drawing one value from
 // Poisson(params[0]).
-func PoissonVG() VG {
-	return func(params engine.Row, r *rng.Stream) ([]engine.Value, error) {
-		if len(params) < 1 {
-			return nil, fmt.Errorf("%w: Poisson VG needs (lambda)", ErrBadSpec)
-		}
-		return []engine.Value{engine.Int(int64(r.Poisson(params[0].AsFloat())))}, nil
-	}
-}
+func PoissonVG() VG { return poissonGen.vg() }
+
+// PoissonBatch is PoissonVG's batch form, bit-identical to it.
+func PoissonBatch() BatchVG { return poissonGen.batch() }
 
 // DistVG adapts any rng.Dist into a single-value VG function with fixed
 // parameters.
-func DistVG(d rng.Dist) VG {
-	return func(_ engine.Row, r *rng.Stream) ([]engine.Value, error) {
-		return []engine.Value{engine.Float(d.Sample(r))}, nil
-	}
-}
+func DistVG(d rng.Dist) VG { return distGen(d).vg() }
+
+// DistBatch is DistVG's batch form, bit-identical to it.
+func DistBatch(d rng.Dist) BatchVG { return distGen(d).batch() }
 
 // BackwardWalkVG returns a VG function that executes a backward
 // geometric random walk from a current price to estimate steps missing

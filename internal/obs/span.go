@@ -137,8 +137,12 @@ func (s *Span) SetAttr(key, value string) {
 	s.mu.Unlock()
 }
 
-// SetInt annotates the span with an integer value.
+// SetInt annotates the span with an integer value. On a nil span
+// (tracing off) it formats nothing.
 func (s *Span) SetInt(key string, v int64) {
+	if s == nil {
+		return
+	}
 	s.SetAttr(key, strconv.FormatInt(v, 10))
 }
 

@@ -32,6 +32,7 @@ package parallel
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"strconv"
@@ -210,12 +211,19 @@ func For(ctx context.Context, n int, opts Options, fn func(i int) error) (err er
 	return ctx.Err()
 }
 
+// ErrPanicked is wrapped by every error that reports a panic recovered
+// at a worker boundary (here or in a retried task's attempt), so a
+// caller can tell a crashed iteration from an ordinary failure with
+// errors.Is. A panic value that is itself an error stays wrapped too.
+// Its text is the verb of the message: "parallel[3] panicked: ...".
+var ErrPanicked = errors.New("panicked")
+
 // panicError describes a panic recovered from iteration i.
 func panicError(i int, r any) error {
 	if e, ok := r.(error); ok {
-		return fmt.Errorf("parallel[%d] panicked: %w", i, e)
+		return fmt.Errorf("parallel[%d] %w: %w", i, ErrPanicked, e)
 	}
-	return fmt.Errorf("parallel[%d] panicked: %v", i, r)
+	return fmt.Errorf("parallel[%d] %w: %v", i, ErrPanicked, r)
 }
 
 // ForStreams runs fn(i, streams[i]) for every i in [0, n), where the

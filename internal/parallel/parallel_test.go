@@ -68,7 +68,7 @@ func TestForRecoversPanics(t *testing.T) {
 				}
 				return nil
 			})
-			if !errors.Is(err, boom) || !strings.Contains(err.Error(), "parallel[17]") {
+			if !errors.Is(err, boom) || !errors.Is(err, ErrPanicked) || !strings.Contains(err.Error(), "parallel[17]") {
 				t.Fatalf("workers=%d nofaults=%v: got %v", workers, opts.NoFaults, err)
 			}
 		}
@@ -78,8 +78,24 @@ func TestForRecoversPanics(t *testing.T) {
 			}
 			return nil
 		})
-		if err == nil || !strings.Contains(err.Error(), "parallel[3] panicked: not an error") {
+		if !errors.Is(err, ErrPanicked) || !strings.Contains(err.Error(), "parallel[3] panicked: not an error") {
 			t.Fatalf("workers=%d: non-error panic gave %v", workers, err)
+		}
+		// The retry path recovers inside each attempt; its error must
+		// carry the same sentinel, and a plain failure must not.
+		retry := Options{Workers: workers, Retry: &RetryPolicy{MaxRetries: 1}}
+		err = For(context.Background(), 8, retry, func(i int) error {
+			if i == 5 {
+				panic(boom)
+			}
+			return nil
+		})
+		if !errors.Is(err, ErrPanicked) || !errors.Is(err, boom) || !strings.Contains(err.Error(), "attempt 2 panicked: model bug") {
+			t.Fatalf("workers=%d: retried panic gave %v", workers, err)
+		}
+		err = For(context.Background(), 8, retry, func(i int) error { return boom })
+		if errors.Is(err, ErrPanicked) {
+			t.Fatalf("workers=%d: plain error reported as a panic: %v", workers, err)
 		}
 	}
 }

@@ -111,10 +111,10 @@ func attemptOnce(stage string, index, attempt int, inj FaultInjector, fn func() 
 	defer func() {
 		if r := recover(); r != nil {
 			if e, ok := r.(error); ok {
-				err = fmt.Errorf("%s[%d] attempt %d panicked: %w", stage, index, attempt, e)
+				err = fmt.Errorf("%s[%d] attempt %d %w: %w", stage, index, attempt, ErrPanicked, e)
 				return
 			}
-			err = fmt.Errorf("%s[%d] attempt %d panicked: %v", stage, index, attempt, r)
+			err = fmt.Errorf("%s[%d] attempt %d %w: %v", stage, index, attempt, ErrPanicked, r)
 		}
 	}()
 	if inj != nil {

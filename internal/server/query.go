@@ -10,6 +10,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -339,7 +340,7 @@ func (s *Server) SQL(ctx context.Context, req SQLRequest) (*SQLResponse, error) 
 	if err != nil {
 		// A parse error surfaces here (the statement is prepared inside
 		// the shard run); report it as the client's fault.
-		if _, ok := err.(*StatusError); !ok && ctx.Err() == nil {
+		if _, ok := err.(*StatusError); !ok && ctx.Err() == nil && !errors.Is(err, parallel.ErrPanicked) {
 			err = badRequestf("%v", err)
 		}
 		return nil, err
@@ -363,6 +364,9 @@ func (s *Server) results(key resultKey, compute func() ([]float64, [][]int, erro
 	s.reg.Counter(MetricCacheMisses).Inc()
 	v, l, err := compute()
 	if err != nil {
+		if errors.Is(err, parallel.ErrPanicked) {
+			s.reg.Counter(MetricPanics).Inc()
+		}
 		return nil, nil, false, err
 	}
 	s.cacheStore(key, v, l)

@@ -65,6 +65,10 @@ const (
 	MetricSQL = "server.sql"
 	// MetricExplains counts EXPLAIN requests served.
 	MetricExplains = "server.explains"
+	// MetricPanics counts requests that failed because tenant model
+	// code (a VG, BatchVG or parameter query) panicked; each such
+	// request was answered 500 and the process kept serving.
+	MetricPanics = "server.panics"
 )
 
 // Config sizes and wires a Server. The zero value of every limit field

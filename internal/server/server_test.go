@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -605,47 +606,91 @@ func TestTenantCapBoundsMaterialization(t *testing.T) {
 
 // TestPanickingVGIsA500: a tenant's model code that panics fails only
 // its own request. The panic surfaces from the realization loop as an
-// error (HTTP 500), the process survives, and once the model stops
-// panicking the tenant's next query answers normally — no admission
-// slot or session state is left behind.
+// error (HTTP 500) counted under server.panics, the process survives,
+// and once the model stops panicking the tenant's next query answers
+// normally — no admission slot or session state is left behind. Both
+// VG forms are covered: a row-at-a-time VG and a BatchVG.
 func TestPanickingVGIsA500(t *testing.T) {
 	var broken atomic.Bool
-	_, ts := newTestServer(t, Config{Open: func(string) (*mcdb.DB, error) {
+	schema := engine.Schema{
+		{Name: "pid", Type: engine.TypeInt},
+		{Name: "gender", Type: engine.TypeString},
+		{Name: "x", Type: engine.TypeFloat},
+	}
+	noParams := func(*engine.Database, engine.Row) (engine.Row, error) { return nil, nil }
+	var failing atomic.Bool
+	vg := func(_ engine.Row, r *rng.Stream) ([]engine.Value, error) {
+		if broken.Load() {
+			panic("model bug")
+		}
+		if failing.Load() {
+			return nil, errors.New("model error")
+		}
+		return []engine.Value{engine.Float(r.Float64())}, nil
+	}
+	s, ts := newTestServer(t, Config{Open: func(string) (*mcdb.DB, error) {
 		db, err := experiments.SBPDatabase(4)
 		if err != nil {
 			return nil, err
 		}
-		err = db.AddSpec(&mcdb.TableSpec{
-			Name: "flaky",
-			Schema: engine.Schema{
-				{Name: "pid", Type: engine.TypeInt},
-				{Name: "gender", Type: engine.TypeString},
-				{Name: "x", Type: engine.TypeFloat},
-			},
-			ForEach: "patients",
-			Params: func(*engine.Database, engine.Row) (engine.Row, error) {
-				return nil, nil
-			},
-			VG: func(_ engine.Row, r *rng.Stream) ([]engine.Value, error) {
+		err = db.AddSpec(&mcdb.TableSpec{Name: "flaky", Schema: schema, ForEach: "patients",
+			Params: noParams, VG: vg, UncertainCols: []int{2}})
+		if err != nil {
+			return nil, err
+		}
+		err = db.AddSpec(&mcdb.TableSpec{Name: "flaky_batch", Schema: schema, ForEach: "patients",
+			Params: noParams, VG: vg, UncertainCols: []int{2},
+			Batch: func(_ engine.Row, r *rng.Stream, out [][]float64) error {
 				if broken.Load() {
-					panic("model bug")
+					panic("batch model bug")
 				}
-				return []engine.Value{engine.Float(r.Float64())}, nil
-			},
-			UncertainCols: []int{2},
-		})
+				for it := range out[0] {
+					out[0][it] = r.Float64()
+				}
+				return nil
+			}})
 		return db, err
 	}})
-	for _, workers := range []int{1, 4} {
-		req := QueryRequest{Tenant: "acme", Table: "flaky", Col: "x", Fn: "avg",
-			Iterations: 20, Seed: uint64(workers), Workers: workers}
-		broken.Store(true)
-		if out, resp := post[QueryResponse](t, ts.URL+"/v1/query", req); out != nil || resp.StatusCode != http.StatusInternalServerError {
-			t.Fatalf("workers=%d: panicking VG answered %d, want 500", workers, resp.StatusCode)
+	panics := int64(0)
+	for ti, table := range []string{"flaky", "flaky_batch"} {
+		for _, workers := range []int{1, 4} {
+			// A fresh seed per request: a realization covers every
+			// table, so a seed one table already realized is cached.
+			req := QueryRequest{Tenant: "acme", Table: table, Col: "x", Fn: "avg",
+				Iterations: 20, Seed: uint64(10*ti + workers), Workers: workers}
+			broken.Store(true)
+			if out, resp := post[QueryResponse](t, ts.URL+"/v1/query", req); out != nil || resp.StatusCode != http.StatusInternalServerError {
+				t.Fatalf("%s workers=%d: panicking VG answered %d, want 500", table, workers, resp.StatusCode)
+			}
+			panics++
+			if got := s.reg.Counter(MetricPanics).Value(); got != panics {
+				t.Fatalf("%s workers=%d: %s = %d, want %d", table, workers, MetricPanics, got, panics)
+			}
+			broken.Store(false)
+			if out, resp := post[QueryResponse](t, ts.URL+"/v1/query", req); out == nil {
+				t.Fatalf("%s workers=%d: next query answered %d, want 200", table, workers, resp.StatusCode)
+			}
 		}
-		broken.Store(false)
-		if out, resp := post[QueryResponse](t, ts.URL+"/v1/query", req); out == nil {
-			t.Fatalf("workers=%d: next query answered %d, want 200", workers, resp.StatusCode)
-		}
+	}
+	// /v1/sql instantiates through VG on the naive path; a panic there
+	// is the server's 500 too, not the client's 400.
+	broken.Store(true)
+	sqlReq := SQLRequest{Tenant: "acme", SQL: "SELECT AVG(x) FROM flaky", Iterations: 5, Seed: 77}
+	if out, resp := post[SQLResponse](t, ts.URL+"/v1/sql", sqlReq); out != nil || resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("panicking VG under /v1/sql answered %d, want 500", resp.StatusCode)
+	}
+	broken.Store(false)
+	panics++
+	if metrics := getBody(t, ts.URL+"/metrics"); !metricAtLeast(t, metrics, MetricPanics, int(panics)) {
+		t.Fatalf("/metrics does not show %s ≥ %d:\n%s", MetricPanics, panics, metrics)
+	}
+	// An ordinary model error is not a panic.
+	failing.Store(true)
+	req := QueryRequest{Tenant: "acme", Table: "flaky", Col: "x", Fn: "avg", Iterations: 20, Seed: 99}
+	if out, resp := post[QueryResponse](t, ts.URL+"/v1/query", req); out != nil || resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("failing VG answered %d, want 500", resp.StatusCode)
+	}
+	if got := s.reg.Counter(MetricPanics).Value(); got != panics {
+		t.Fatalf("a non-panic failure moved %s to %d", MetricPanics, got)
 	}
 }
